@@ -244,22 +244,29 @@ def run_host_scaling():
 
 
 def run_serving_sweep():
+    # Imported here: perf_smoke.py imports this module as a script, with
+    # only benchmarks/ on its path.
+    from tests.reference_search import assert_matches_reference, reference_for
+
     vectors, _ = make_clustered_embeddings(N_ENTRIES, DIM, NLIST, seed="serve")
     queries = make_queries(vectors, max(BATCH_SIZES), seed="serve-q")
     device = ReisDevice(tiny_config("SERVE"))
     db_id = device.ivf_deploy("serve", vectors, nlist=NLIST, seed=0)
-    db = device.database(db_id)
+    reference = reference_for(
+        device, db_id, vectors,
+        centroids=build_ivf_model(vectors, NLIST, seed=0).centroids,
+    )
 
     points = []
     for batch_size in BATCH_SIZES:
         wall_start = time.perf_counter()
         batch = device.ivf_search(db_id, queries[:batch_size], k=K, nprobe=NPROBE)
         host_wall = time.perf_counter() - wall_start
-        # Bit-identity with the sequential path, per query (not timed).
+        # Bit-identity with the reference oracle, per query (not timed).
         for query, result in zip(queries[:batch_size], batch):
-            solo = device.engine.search(db, query, k=K, nprobe=NPROBE)
-            assert np.array_equal(solo.ids, result.ids)
-            assert np.array_equal(solo.distances, result.distances)
+            assert_matches_reference(
+                result, reference.search(query, k=K, nprobe=NPROBE)
+            )
         stats = batch.batch_stats
         points.append(
             {
@@ -1180,8 +1187,16 @@ def test_cache_serving(benchmark, show):
 
     for sweep in sweeps:
         rates = [p["hit_rate"] for p in sweep["points"]]
-        # No cache, no hits; and LRU over equal-size page entries is a
-        # stack algorithm, so the hit rate grows monotonically in budget.
+        # No cache, no hits.  Past that this pins a measured property of
+        # these seeded streams, not a theorem: the sweep runs
+        # CostAwarePolicy, which ranks mixed-size entries (SLC scan pages,
+        # TLC INT8 and document pages) by uses x kind weight x sense
+        # energy / bytes.  That is not a stack algorithm, so a bigger
+        # budget need not hold a superset of a smaller one's pages.  The
+        # hit rate is still expected to grow with the budget because
+        # under Zipf skew the hot pages score highest at every budget and
+        # extra room only admits colder ones; a dip flags a policy
+        # regression.
         assert rates[0] == 0.0
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
         assert rates[-1] > 0.0

@@ -12,10 +12,10 @@ retrieval system of Sec. 4:
 * :mod:`repro.core.registry` -- R-DB, R-IVF and the Temporal Top Lists.
 * :mod:`repro.core.commands` -- the NAND command-set extensions (Table 2).
 * :mod:`repro.core.engine` -- the in-storage ANNS engine (Sec. 4.3).
-* :mod:`repro.core.plan` -- composable query plans (the five-phase
-  schedule as data) and the sequential executor.
-* :mod:`repro.core.batch` -- the batched multi-query executor with
-  die/channel-occupancy costing.
+* :mod:`repro.core.plan` -- query plans (the five-phase schedule as
+  data), page-service schedules and solo latency composition.
+* :mod:`repro.core.batch` -- the page-major executor with
+  die/channel-occupancy costing; a solo query is a batch of one.
 * :mod:`repro.core.queue` -- the async host submission queue:
   deadline/occupancy batch forming with per-tenant fairness on a
   simulated clock.
@@ -62,7 +62,6 @@ from repro.core.plan import (
     MergeStage,
     PageRequest,
     PageSchedule,
-    PlanExecutor,
     PlanStage,
     QueryPlan,
     RerankStage,
@@ -137,7 +136,6 @@ __all__ = [
     "FineStage",
     "PageRequest",
     "PageSchedule",
-    "PlanExecutor",
     "PlanStage",
     "QueryPlan",
     "RerankStage",

@@ -1,10 +1,11 @@
 """Batched multi-query serving: one device, many concurrent queries.
 
-The seed served batches as a sequential loop and charged each query as if
-the device were idle between them.  PR 2 added the joint cost model; this
-module now executes batches **page-major** so the functional simulator,
-the command traces, the energy counters and the cost model all tell the
-same story: the paper's "one sense, N distance extractions".
+This is the one execution path for in-storage search: batches run
+**page-major** so the functional simulator, the command traces, the
+energy counters and the cost model all tell the same story -- the paper's
+"one sense, N distance extractions".  A solo query is a batch of one
+(:meth:`~repro.core.engine.InStorageAnnsEngine.search`), and the shard
+router drives the same phase pieces per shard.
 
 :class:`BatchExecutor` works phase by phase:
 
@@ -20,17 +21,19 @@ same story: the paper's "one sense, N distance extractions".
   request for a page into one run (maximum collisions); without it,
   requests stay in query order and only accidental adjacency shares a
   sense.
-* **Order-preserving TTL replay** keeps results bit-identical to the
-  sequential path: the kernel only *extracts* -- per-query TTL appends,
+* **Order-preserving TTL replay** keeps every query's results independent
+  of its batch: the kernel only *extracts* -- per-query TTL appends,
   channel billing and the per-page quickselect are replayed afterwards in
   each query's original slot order
   (:meth:`~repro.core.engine.InStorageAnnsEngine.absorb_scan_hit`), so a
-  query's TTL goes through exactly the states it would solo.  Reordering
-  page service across queries changes *when* a page is sensed, never
-  *what* any query computes from it.
-* **Rerank and document phases** stay query-major (their page reads go
-  through the controller's ECC path, not the in-die scan kernel); the
-  joint cost model still amortizes their page identities.
+  query's TTL goes through exactly the states it would in a batch of one.
+  Reordering page service across queries changes *when* a page is
+  sensed, never *what* any query computes from it.
+* **Rerank and document phases** are page-major batch kernels too
+  (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`,
+  :meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`):
+  each batch-unique TLC page is sensed and ECC-corrected once, while
+  every query is billed its own query-unique pages and codewords.
 
 Cost composition is joint: per-query :class:`PhaseCost` records are merged
 by :func:`~repro.core.costing.compose_batch_phase` into per-plane /
@@ -53,11 +56,9 @@ import numpy as np
 from repro.core.costing import BatchPhaseBreakdown, PhaseCost, compose_batch_phase
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
-    DocumentStage,
     PlanContext,
     QueryPlan,
     ReisQueryResult,
-    RerankStage,
     build_query_plan,
     finalize_query_result,
     schedule_order,
@@ -200,9 +201,8 @@ class _ScanTasks:
     ``filters`` is per *query* (indexed through ``queries``), matching how
     the phase drivers parameterize their sweeps.  Rows are appended
     query-major in sequential scan order, so replaying them by ascending
-    index reproduces the solo path exactly -- the same contract the
-    per-task object list used to carry, without materializing an object
-    per (query, page) pair.
+    index reproduces each query's own scan order exactly, without
+    materializing an object per (query, page) pair.
     """
 
     queries: np.ndarray  # (T,) int64 -- context index of each demand
@@ -249,13 +249,13 @@ def _tasks_from_ranges(
 ) -> _ScanTasks:
     """Vectorized page/window expansion of many (query, slot-range) demands.
 
-    Replicates :func:`~repro.core.engine.iter_page_windows` arithmetic over
-    every range at once: range ``r`` covering slots ``[firsts[r],
-    lasts[r]]`` expands to its pages ``firsts[r]//spp .. lasts[r]//spp``
-    with unclamped window bounds relative to each page (empty ranges are
-    skipped, as the solo loop skips them).  Row order is the ranges' order,
-    pages ascending within a range -- callers supply ranges query-major in
-    scan order, so the rows replay sequentially.
+    The single source of the slot-to-page arithmetic: range ``r``
+    covering slots ``[firsts[r], lasts[r]]`` expands to its pages
+    ``firsts[r]//spp .. lasts[r]//spp`` with unclamped window bounds
+    relative to each page (the kernel clamps to the page's valid slots;
+    empty ranges are skipped).  Row order is the ranges' order, pages
+    ascending within a range -- callers supply ranges query-major in scan
+    order, so the rows replay in each query's scan order.
     """
     spp = region.slots_per_page
     keep = lasts >= firsts
@@ -284,8 +284,8 @@ class BatchExecutor:
     """Serves a batch of queries concurrently against one device."""
 
     # The page-major driver dispatches on these stage names; a plan
-    # carrying anything else must be executed sequentially (PlanExecutor),
-    # never silently dropped.
+    # carrying anything else (a host-side MergeStage) is rejected, never
+    # silently dropped.
     SERVICEABLE_STAGES = frozenset(
         ("ibc", "coarse", "fine", "rerank", "documents")
     )
@@ -411,9 +411,9 @@ class BatchExecutor:
     ) -> None:
         """Replay extracted hits per query, in each query's original order.
 
-        Task rows were appended query by query in sequential scan order, so
-        walking them by ascending index within each query reproduces the
-        exact TTL append / compact interleaving of the solo path -- the
+        Task rows were appended query by query in scan order, so walking
+        them by ascending index within each query reproduces the exact TTL
+        append / compact interleaving of a batch of one -- the
         order-preserving replay that keeps batching bit-identical.
         """
         for index, qi in enumerate(tasks.queries.tolist()):
@@ -652,9 +652,9 @@ class BatchExecutor:
         retries = [
             qi
             for qi, ctx in enumerate(ctxs)
-            if engine.fine_needs_retry(
-                state.ttls[qi], state.threshold,
-                state.shortlist_sizes[qi], ctx.stats,
+            if engine.fine_retry_needed(
+                state.survivors(qi), state.threshold,
+                state.shortlist_sizes[qi], ctx.stats.candidates,
             )
         ]
         self._fine_retry(db, state, ctxs, stats, scheduled_senses, retries)
@@ -707,29 +707,22 @@ class BatchExecutor:
             if unknown or not {"ibc", "fine"} <= set(plan.stage_names()):
                 raise ValueError(
                     "page-major batch execution cannot service this plan "
-                    f"(stages {plan.stage_names()}); run it through "
-                    "PlanExecutor instead"
+                    f"(stages {plan.stage_names()}); only the device phases "
+                    f"{sorted(self.SERVICEABLE_STAGES)} run on a device"
                 )
         ctxs = [PlanContext(db=plan.db, query=plan.query) for plan in plans]
         return plans, ctxs
 
-    def run_ibc(
-        self, plans: Sequence[QueryPlan], ctxs: Sequence[PlanContext]
-    ) -> None:
+    def run_ibc(self, ctxs: Sequence[PlanContext]) -> None:
         """Step 1, batched: encode every query at once, broadcast back to back.
 
-        Bit-identical to running each plan's IBC stage in turn: the binary
-        quantizers encode row-wise (``encode_one(v) == encode(v[None])[0]``)
-        and cache latches are overwrite-only, so only the last broadcast's
-        latch state is ever observable.  Commands, counters and per-query
-        transfer stats account the full sequence.
+        The binary quantizers encode row-wise, so each query's code is the
+        one it gets alone; cache latches are overwrite-only, so only the
+        last broadcast's latch state is ever observable.  Commands,
+        counters and per-query transfer stats account the full sequence.
         """
         if not ctxs:
             return
-        for plan in plans:
-            # Preserve the per-stage dispatch's failure mode for plans
-            # without an IBC stage (prepare() normally rejects these).
-            next(s for s in plan.stages if s.name == "ibc")
         db = ctxs[0].db
         codes = db.binary_quantizer.encode(
             np.stack([ctx.query for ctx in ctxs])
@@ -766,7 +759,7 @@ class BatchExecutor:
         scheduled_senses: Dict[str, Dict[int, int]] = {}
 
         with _phase_timer(host_profile, "ibc"):
-            self.run_ibc(plans, ctxs)
+            self.run_ibc(ctxs)
 
         # Scan phases run page-major across the whole batch.
         if plans and any(s.name == "coarse" for s in plans[0].stages):
@@ -778,18 +771,33 @@ class BatchExecutor:
 
         # TLC phases run page-major across the whole batch too: one shared
         # functional pass per phase (each batch-unique page sensed and
-        # ECC-corrected once, one distance einsum), per-query billing --
-        # see RerankStage.run_batch / DocumentStage.run_batch.
+        # ECC-corrected once, one distance einsum), per-query billing.
         if plans and any(s.name == "rerank" for s in plans[0].stages):
-            rerank_stages = [
-                next(s for s in plan.stages if s.name == "rerank")
-                for plan in plans
-            ]
             with _phase_timer(host_profile, "rerank"):
-                RerankStage.run_batch(engine, db, rerank_stages, ctxs)
+                outs = engine._rerank_batch(
+                    db,
+                    np.stack([ctx.query for ctx in ctxs]),
+                    [ctx.shortlist for ctx in ctxs],
+                    [plan.k for plan in plans],
+                    [ctx.stats for ctx in ctxs],
+                )
+                for ctx, (distances, dadrs, slots, cost) in zip(ctxs, outs):
+                    ctx.distances, ctx.dadrs, ctx.slots = distances, dadrs, slots
+                    ctx.phase_costs["rerank"] = cost
         if plans and any(s.name == "documents" for s in plans[0].stages):
             with _phase_timer(host_profile, "documents"):
-                DocumentStage.run_batch(engine, db, ctxs)
+                # Queries with no winners record no documents phase cost.
+                active = [i for i, ctx in enumerate(ctxs) if ctx.dadrs.size]
+                if active:
+                    docs = engine._fetch_documents_batch(
+                        db,
+                        [ctxs[i].dadrs for i in active],
+                        [ctxs[i].stats for i in active],
+                    )
+                    for i, (documents, cost, host_s) in zip(active, docs):
+                        ctxs[i].documents = documents
+                        ctxs[i].host_seconds = host_s
+                        ctxs[i].phase_costs["documents"] = cost
 
         with _phase_timer(host_profile, "finalize"):
             results = [

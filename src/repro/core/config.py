@@ -33,8 +33,12 @@ class OptFlags:
     on, cluster scans are reordered within a batch so visits to the same
     physical page become adjacent and share one sense; when off, scans are
     serviced in query order and a sense is shared only if the page happens
-    to still be latched on its plane.  It has no effect on single-query
-    execution or on the analytic paper-scale model.
+    to still be latched on its plane.  A single query is a batch of one,
+    so the flag applies to it too: it never changes results or the
+    query's solo latency report, but with the flag off a query whose
+    probed clusters revisit a page after another sense on that page's
+    plane evicted it senses the page again (more senses, a longer batch
+    wall clock).  It has no effect on the analytic paper-scale model.
     """
 
     distance_filtering: bool = True

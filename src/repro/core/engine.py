@@ -27,14 +27,15 @@ latency/energy report.  The same :mod:`repro.core.costing` composition is
 used by the paper-scale analytic model, letting tests cross-validate the
 two layers.
 
-The phase methods here are the hardware-level primitives; the schedule
-that strings them together lives in :mod:`repro.core.plan` (one query)
-and :mod:`repro.core.batch` (a concurrent batch).
+The phase methods here are the hardware-level primitives; the plan that
+names the phases lives in :mod:`repro.core.plan` and the page-major
+executor that strings them together in :mod:`repro.core.batch`.  A solo
+query is a batch of one (:meth:`InStorageAnnsEngine.search`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,13 +46,8 @@ from repro.core.commands import DieCommandInterface
 from repro.core.config import OptFlags, ReisConfig
 from repro.core.costing import PhaseCost, ibc_time
 from repro.core.layout import DeployedDatabase, RegionInfo
-from repro.core.plan import (
-    PlanExecutor,
-    ReisQueryResult,
-    SearchStats,
-    build_query_plan,
-)
-from repro.core.registry import TemporalTopList, TtlBlock, TtlEntry
+from repro.core.plan import ReisQueryResult, SearchStats
+from repro.core.registry import TemporalTopList, TtlBlock
 from repro.nand.geometry import PhysicalPageAddress
 from repro.nand.latches import _POPCOUNT_TABLE
 from repro.rag.documents import DocumentChunk
@@ -60,27 +56,9 @@ from repro.ssd.device import SimulatedSSD
 __all__ = [
     "InStorageAnnsEngine",
     "ReisQueryResult",
-    "ScanWindow",
     "PageScanHit",
     "SearchStats",
-    "iter_page_windows",
 ]
-
-
-@dataclass(frozen=True)
-class ScanWindow:
-    """One query's demand on one latched page: its code plus a slot window.
-
-    ``lo``/``hi`` are slot indices within the page (inclusive).  The
-    threshold and metadata filter travel with the window because the
-    page-major executor services windows of many queries against one sense.
-    """
-
-    code: np.ndarray
-    lo: int
-    hi: int
-    threshold: Optional[int] = None
-    metadata_filter: Optional[int] = None
 
 
 @dataclass
@@ -88,8 +66,7 @@ class PageScanHit:
     """What one window extracted from one page (steps 3-6 for one query).
 
     Surviving rows stay columnar (one :class:`TtlBlock` per hit) all the
-    way into the TTL; ``entries`` materializes them only for tests and
-    introspection.
+    way into the TTL.
     """
 
     plane_index: int
@@ -102,42 +79,6 @@ class PageScanHit:
     # channel crossing -- the visit bills ``cache_bytes`` of DRAM instead.
     from_cache: bool = False
     cache_bytes: int = 0
-
-    @property
-    def entries(self) -> List[TtlEntry]:
-        if self.block is None:
-            return []
-        return [self.block.entry(i) for i in range(len(self.block))]
-
-
-def iter_page_windows(
-    region: RegionInfo,
-    query_code: np.ndarray,
-    first_slot: int,
-    last_slot: int,
-    threshold: Optional[int] = None,
-    metadata_filter: Optional[int] = None,
-):
-    """Yield ``(page_offset, ScanWindow)`` for each page of a slot range.
-
-    The single source of the slot-to-page arithmetic: the solo scan loop
-    and the batch executor's task builder both enumerate their demands
-    through here, so the two paths cannot drift apart.  Window bounds are
-    left unclamped (the kernel clamps to the page's valid slots).
-    """
-    if last_slot < first_slot:
-        return
-    first_page = first_slot // region.slots_per_page
-    last_page = last_slot // region.slots_per_page
-    for page_offset in range(first_page, last_page + 1):
-        page_first = page_offset * region.slots_per_page
-        yield page_offset, ScanWindow(
-            code=query_code,
-            lo=first_slot - page_first,
-            hi=last_slot - page_first,
-            threshold=threshold,
-            metadata_filter=metadata_filter,
-        )
 
 
 class InStorageAnnsEngine:
@@ -194,8 +135,7 @@ class InStorageAnnsEngine:
         return getattr(self.ssd, "page_cache", None)
 
     def _bill_dram_hit(
-        self, cost: PhaseCost, stats: SearchStats, nbytes: int,
-        key: object = None,
+        self, cost: PhaseCost, stats: SearchStats, nbytes: int, key: object
     ) -> None:
         """Account one cache-served page visit.
 
@@ -203,16 +143,13 @@ class InStorageAnnsEngine:
         controller streams the mirrored bytes out of the internal DRAM, so
         the visit bills :meth:`InternalDram.access_time` and advances the
         ``dram_cache_*`` counters -- the energy invariant becomes: billed
-        work = unique NAND senses + DRAM hit bytes.  Batch kernels pass the
-        page identity as ``key`` so compose_batch_phase can share the
-        stream across the queries that drain it (each query still bills
-        the full visit solo, mirroring per-query sense billing).
+        work = unique NAND senses + DRAM hit bytes.  ``key`` is the page
+        identity, so compose_batch_phase can share the stream across the
+        queries that drain it (each query still bills the full visit solo,
+        mirroring per-query sense billing).
         """
         seconds = self.ssd.dram.access_time(nbytes)
-        if key is not None:
-            cost.add_dram_stream(key, seconds)
-        else:
-            cost.dram_seconds += seconds
+        cost.add_dram_stream(key, seconds)
         cost.dram_bytes += nbytes
         self.ssd.counters.add("dram_cache_hits", 1)
         self.ssd.counters.add("dram_cache_bytes", nbytes)
@@ -232,23 +169,15 @@ class InStorageAnnsEngine:
 
     # ----------------------------------------------------------------- IBC
 
-    def _input_broadcast(self, query_code: np.ndarray, stats: SearchStats) -> float:
-        """Step 1: broadcast the query into every die's cache latches."""
-        for interface in self._die_interfaces.values():
-            stats.ibc_transfers += interface.ibc(
-                query_code, multi_plane=self.flags.multi_plane_ibc
-            )
-        return ibc_time(self.geometry, self.timing, query_code.size, self.flags)
-
     def _input_broadcast_batch(
         self, query_codes: np.ndarray, stats_list: Sequence[SearchStats]
     ) -> float:
         """Batched step 1: broadcast every query's code back to back.
 
         Cache latches are overwrite-only, so only the last row survives --
-        exactly the end state of running :meth:`_input_broadcast` per query
-        -- while commands, counters and per-query transfer stats reflect
-        the full broadcast sequence.  Returns the per-query IBC time (all
+        exactly the end state of broadcasting each query on its own --
+        while commands, counters and per-query transfer stats reflect the
+        full broadcast sequence.  Returns the per-query IBC time (all
         codes in a batch share one width).
         """
         n = len(query_codes)
@@ -268,11 +197,15 @@ class InStorageAnnsEngine:
 
     # ------------------------------------------------------------ scan core
 
-    def scan_page_windows(
+    def scan_page_run(
         self,
         region: RegionInfo,
         page_offset: int,
-        windows: Sequence[ScanWindow],
+        codes: np.ndarray,
+        los: Sequence[int],
+        his: Sequence[int],
+        thresholds: Sequence[Optional[int]],
+        metadata_filters: Sequence[Optional[int]],
         coarse: bool,
         code_bytes: int,
         oob_record_bytes: int,
@@ -290,47 +223,10 @@ class InStorageAnnsEngine:
         model bills, but READ_PAGE only when ``sense`` is true: one sense,
         N distance extractions.
 
-        This is the single scan primitive: the solo path calls it with one
-        window per page, the page-major batch executor with every
-        interested query's window at once (via the array-native
-        :meth:`scan_page_run`, which this method wraps for callers holding
-        :class:`ScanWindow` objects).
-        """
-        return self.scan_page_run(
-            region,
-            page_offset,
-            np.stack([window.code for window in windows]),
-            [window.lo for window in windows],
-            [window.hi for window in windows],
-            [window.threshold for window in windows],
-            [window.metadata_filter for window in windows],
-            coarse,
-            code_bytes,
-            oob_record_bytes,
-            sense=sense,
-        )
-
-    def scan_page_run(
-        self,
-        region: RegionInfo,
-        page_offset: int,
-        codes: np.ndarray,
-        los: Sequence[int],
-        his: Sequence[int],
-        thresholds: Sequence[Optional[int]],
-        metadata_filters: Sequence[Optional[int]],
-        coarse: bool,
-        code_bytes: int,
-        oob_record_bytes: int,
-        sense: bool = True,
-    ) -> List[PageScanHit]:
-        """Array-native scan kernel: one latched page, N window demands.
-
-        ``codes`` is a ``(N, code_bytes)`` matrix; the window bounds,
-        thresholds and metadata filters are parallel sequences.  Semantics
-        (and the command trace) are exactly :meth:`scan_page_windows` --
-        the batch executor calls this directly from its columnar task
-        arrays so no per-task window objects are materialized.
+        ``codes`` is a ``(N, code_bytes)`` matrix; the window bounds
+        (slot indices within the page, inclusive, clamped here to the
+        page's valid slots), thresholds and metadata filters are parallel
+        sequences, straight from the batch executor's columnar task arrays.
         """
         ppa, plane_index, channel, page_id = self._locate(region, page_offset)
         plane_in_die = ppa.plane
@@ -576,132 +472,7 @@ class InStorageAnnsEngine:
                 processed, select_k
             )
 
-    def _scan_range(
-        self,
-        db: DeployedDatabase,
-        region: RegionInfo,
-        query_code: np.ndarray,
-        first_slot: int,
-        last_slot: int,
-        ttl: TemporalTopList,
-        cost: PhaseCost,
-        stats: SearchStats,
-        coarse: bool,
-        threshold: Optional[int],
-        select_k: int,
-        metadata_filter: Optional[int] = None,
-    ) -> None:
-        """Steps 2-6 over the slots ``[first_slot, last_slot]`` of a region.
-
-        Reads each page the range touches, XORs it against the query code,
-        extracts per-embedding distances with the fail-bit counter,
-        optionally filters (by distance, and by the Sec. 7.1 metadata tag
-        when ``metadata_filter`` is given -- applied in-die, before any
-        entry crosses the channel), and moves surviving entries into
-        ``ttl``.  One :meth:`scan_page_windows` call per page; the batch
-        executor replaces this loop with a page-major schedule.
-        """
-        code_bytes = db.code_bytes
-        oob_record = self.params.tag_bytes if coarse else db.oob_record_bytes
-        entry_bytes = (
-            self.params.coarse_entry_bytes(code_bytes)
-            if coarse
-            else self.params.fine_entry_bytes(code_bytes)
-        )
-        cache = self.page_cache
-        kind = "centroid" if coarse else "cluster"
-        for page_offset, window in iter_page_windows(
-            region, query_code, first_slot, last_slot, threshold, metadata_filter
-        ):
-            entry = (
-                cache.lookup(region, page_offset) if cache is not None else None
-            )
-            if entry is not None:
-                (hit,) = self.scan_page_cached(
-                    region, page_offset, entry,
-                    window.code[None, :],
-                    [window.lo], [window.hi],
-                    [window.threshold], [window.metadata_filter],
-                    coarse, code_bytes, oob_record,
-                )
-            else:
-                (hit,) = self.scan_page_windows(
-                    region, page_offset, [window], coarse, code_bytes, oob_record
-                )
-                self._admit_page(region, page_offset, kind)
-            self.absorb_scan_hit(hit, ttl, cost, stats, entry_bytes, select_k)
-
     # --------------------------------------------------------- search steps
-
-    def _coarse_search(
-        self,
-        db: DeployedDatabase,
-        query_code: np.ndarray,
-        nprobe: int,
-        stats: SearchStats,
-    ) -> Tuple[List[int], PhaseCost]:
-        """Coarse-grained search over the centroid region (Sec. 4.3.1)."""
-        assert db.centroid_region is not None and db.r_ivf is not None
-        cost = PhaseCost(name="coarse", with_compute=True)
-        ttl_c = TemporalTopList(
-            "c",
-            self.params.coarse_entry_bytes(db.code_bytes),
-            dram=self.ssd.dram,
-        )
-        self._scan_range(
-            db,
-            db.centroid_region,
-            query_code,
-            0,
-            db.centroid_region.n_slots - 1,
-            ttl_c,
-            cost,
-            stats,
-            coarse=True,
-            threshold=None,
-            select_k=nprobe,
-        )
-        clusters = self.select_clusters(db, ttl_c, nprobe, cost, stats)
-        return clusters, cost
-
-    def select_cluster_entries(
-        self,
-        ttl_c: TemporalTopList,
-        nprobe: int,
-        cost: PhaseCost,
-    ) -> List[TtlEntry]:
-        """Quickselect the nprobe nearest centroid entries (nearest first).
-
-        The entries still carry their Hamming distances, which is what the
-        shard router merges across devices before any cluster id is
-        resolved; the single-device path resolves ids immediately via
-        :meth:`resolve_cluster_ids`.
-        """
-        cost.core_seconds += self.ssd.cores.reis_core.quickselect(
-            len(ttl_c), nprobe
-        )
-        return ttl_c.select_smallest(nprobe)
-
-    def resolve_cluster_ids(
-        self,
-        db: DeployedDatabase,
-        entries: Sequence[TtlEntry],
-        stats: SearchStats,
-    ) -> List[int]:
-        """Map selected centroid entries to cluster ids (tag cross-check)."""
-        assert db.r_ivf is not None
-        clusters: List[int] = []
-        for entry in entries:
-            # EADR is the centroid's mini-page address == the cluster id; the
-            # 8-bit tag (which aliases for nlist > 256) is cross-checked.
-            cluster_id = entry.eadr
-            if db.r_ivf[cluster_id].tag != entry.tag:
-                raise RuntimeError(
-                    f"cluster tag mismatch for centroid {cluster_id}"
-                )
-            clusters.append(cluster_id)
-        stats.clusters_probed = len(clusters)
-        return clusters
 
     def select_cluster_block(
         self,
@@ -709,7 +480,13 @@ class InStorageAnnsEngine:
         nprobe: int,
         cost: PhaseCost,
     ) -> TtlBlock:
-        """Columnar :meth:`select_cluster_entries`: same charge, same rows."""
+        """Quickselect the nprobe nearest centroid rows (nearest first).
+
+        The rows still carry their Hamming distances, which is what the
+        shard router merges across devices before any cluster id is
+        resolved; the single-device path resolves ids immediately via
+        :meth:`resolve_cluster_block`.
+        """
         cost.core_seconds += self.ssd.cores.reis_core.quickselect(
             len(ttl_c), nprobe
         )
@@ -722,7 +499,11 @@ class InStorageAnnsEngine:
         block: TtlBlock,
         stats: SearchStats,
     ) -> np.ndarray:
-        """Vectorized :meth:`resolve_cluster_ids` over a selected block."""
+        """Map selected centroid rows to cluster ids (tag cross-check).
+
+        EADR is the centroid's mini-page address == the cluster id; the
+        8-bit tag (which aliases for nlist > 256) is cross-checked.
+        """
         assert db.r_ivf is not None
         cluster_ids = block.eadrs
         mismatch = db.r_ivf.tags[cluster_ids] != block.tags
@@ -744,69 +525,6 @@ class InStorageAnnsEngine:
         block = self.select_cluster_block(ttl_c, nprobe, cost)
         return [int(c) for c in self.resolve_cluster_block(db, block, stats)]
 
-    def _fine_search(
-        self,
-        db: DeployedDatabase,
-        query_code: np.ndarray,
-        clusters: Optional[Sequence[int]],
-        shortlist_size: int,
-        stats: SearchStats,
-        metadata_filter: Optional[int] = None,
-    ) -> Tuple[TtlBlock, PhaseCost]:
-        """Fine-grained search over embedding slots (whole region for BF)."""
-        cost = PhaseCost(
-            name="fine",
-            with_compute=True,
-            with_filter=self.flags.distance_filtering,
-        )
-        ttl_e = TemporalTopList(
-            "e",
-            self.params.fine_entry_bytes(db.code_bytes),
-            dram=self.ssd.dram,
-        )
-        threshold = db.filter_threshold if self.flags.distance_filtering else None
-        ranges = self._slot_ranges(db, clusters)
-        for first, last in ranges:
-            stats.candidates += last - first + 1
-            self._scan_range(
-                db,
-                db.embedding_region,
-                query_code,
-                first,
-                last,
-                ttl_e,
-                cost,
-                stats,
-                coarse=False,
-                threshold=threshold,
-                select_k=shortlist_size,
-                metadata_filter=metadata_filter,
-            )
-        if self.fine_needs_retry(ttl_e, threshold, shortlist_size, stats):
-            # The calibrated threshold filtered too aggressively for this
-            # query to return k results; rescan without filtering so
-            # correctness never depends on the filter (the paper calibrates
-            # thresholds so this is rare -- the retry counter lets tests
-            # assert exactly that).
-            stats.filter_retries += 1
-            ttl_e.clear()
-            for first, last in ranges:
-                self._scan_range(
-                    db,
-                    db.embedding_region,
-                    query_code,
-                    first,
-                    last,
-                    ttl_e,
-                    cost,
-                    stats,
-                    coarse=False,
-                    threshold=None,
-                    select_k=shortlist_size,
-                    metadata_filter=metadata_filter,
-                )
-        return self.finish_fine_search(ttl_e, shortlist_size, cost), cost
-
     def fine_retry_needed(
         self,
         n_entries: int,
@@ -824,18 +542,6 @@ class InStorageAnnsEngine:
         """
         k = max(1, shortlist_size // self.params.shortlist_factor)
         return threshold is not None and n_entries < min(k, n_candidates)
-
-    def fine_needs_retry(
-        self,
-        ttl_e: TemporalTopList,
-        threshold: Optional[int],
-        shortlist_size: int,
-        stats: SearchStats,
-    ) -> bool:
-        """Did distance filtering starve this query below k candidates?"""
-        return self.fine_retry_needed(
-            len(ttl_e), threshold, shortlist_size, stats.candidates
-        )
 
     def finish_fine_search(
         self,
@@ -862,8 +568,8 @@ class InStorageAnnsEngine:
         (:mod:`repro.core.ingest`): streamed appends extend a cluster past
         its deployed range and tombstoned entries drop out of the ranges,
         so the scan/rerank/filter phases skip dead slots without any
-        re-layout.  Both the solo path and the batch executor's schedule
-        builder resolve their ranges here, so the two stay in lockstep.
+        re-layout.  The batch executor's schedule builder and the shard
+        router's footprint estimates both resolve their ranges here.
         """
         index = getattr(db, "mutable_index", None)
         if index is not None:
@@ -877,266 +583,6 @@ class InStorageAnnsEngine:
             if entry.size > 0:
                 ranges.append((entry.first_embedding, entry.last_embedding))
         return ranges
-
-    def _rerank(
-        self,
-        db: DeployedDatabase,
-        query: np.ndarray,
-        shortlist,
-        k: int,
-        stats: SearchStats,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, PhaseCost]:
-        """Steps 7-8: INT8 rerank + quicksort on the embedded core.
-
-        INT8 twins live in the TLC partition, so each fetched page routes
-        through the controller's ECC engine before the distance kernel runs.
-        Returns (top distances, top DADRs, top slots, phase cost).
-        """
-        cost = PhaseCost(name="rerank", read_mode="tlc", with_compute=False)
-        if isinstance(shortlist, TtlBlock):
-            n_short = len(shortlist)
-            radrs = shortlist.radrs
-            all_dadrs = shortlist.dadrs
-        else:
-            n_short = len(shortlist)
-            radrs = np.array([entry.radr for entry in shortlist], dtype=np.int64)
-            all_dadrs = np.array([entry.dadr for entry in shortlist], dtype=np.int64)
-        if n_short == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, cost
-        dim = db.dim
-        region = db.int8_region
-        query_i8 = db.int8_quantizer.encode_one(query).astype(np.int32)
-        core = self.ssd.cores.reis_core
-
-        # Slot -> (page, byte offset) resolved for the whole shortlist at
-        # once; pages are then fetched in first-touch order (the order the
-        # scalar walk would sense them, which pins the RNG stream).
-        if radrs.min() < 0 or radrs.max() >= region.n_slots:
-            raise IndexError(f"shortlist RADR outside region {region.name!r}")
-        page_offsets = radrs // region.slots_per_page
-        starts = (radrs % region.slots_per_page) * dim
-        unique_pages, first_rows = np.unique(page_offsets, return_index=True)
-        touch_order = np.argsort(first_rows, kind="stable")
-        codes = np.empty((n_short, dim), dtype=np.int8)
-        cw = self.ssd.ecc.config.codeword_bytes
-        cache = self.page_cache
-        cached_u = np.zeros(unique_pages.size, dtype=bool)
-        channel_of_page: Dict[int, int] = {}
-        for rank in touch_order:
-            page_offset = int(unique_pages[rank])
-            entry = (
-                cache.lookup(region, page_offset) if cache is not None else None
-            )
-            if entry is not None:
-                # A hit serves the golden bytes straight from the mirror:
-                # no sense, no ECC -- the visit bills DRAM instead.
-                cached_u[rank] = True
-                page = entry.data
-                self._bill_dram_hit(cost, stats, entry.nbytes)
-            else:
-                first_start = int(starts[first_rows[rank]])
-                # The sense; channel/ECC charges are per codeword below.
-                page = self._read_corrected(
-                    region, page_offset, cost, stats, first_start, dim,
-                    charge_transfer=False,
-                )
-                self._admit_page(region, page_offset, "cluster")
-            channel_of_page[page_offset] = self._locate(region, page_offset)[2]
-            rows = np.flatnonzero(page_offsets == page_offset)
-            gathered = page[starts[rows, None] + np.arange(dim)]
-            codes[rows] = gathered.view(np.int8)
-        page_channels = np.array(
-            [channel_of_page[int(p)] for p in unique_pages], dtype=np.int64
-        )
-        # Charge each distinct ECC codeword the shortlist touches once:
-        # expand every row's [first_cw, last_cw] range, then dedupe the
-        # (page, codeword) pairs in one unique() pass.  Codewords on
-        # cache-served pages never cross the channel or the ECC engine.
-        first_cw = starts // cw
-        last_cw = (starts + dim - 1) // cw
-        counts = (last_cw - first_cw + 1).astype(np.int64)
-        within = np.arange(counts.sum()) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        cw_rows = np.repeat(np.arange(n_short), counts)
-        cw_index = np.repeat(first_cw, counts) + within
-        cw_per_page = int(last_cw.max()) + 1
-        keys = page_offsets[cw_rows] * cw_per_page + cw_index
-        unique_keys = np.unique(keys)
-        key_ranks = np.searchsorted(unique_pages, unique_keys // cw_per_page)
-        sensed_keys = ~cached_u[key_ranks]
-        unique_keys = unique_keys[sensed_keys]
-        key_channels = page_channels[key_ranks[sensed_keys]]
-        for channel in np.unique(key_channels):
-            moved = int((key_channels == channel).sum()) * cw
-            cost.add_channel_bytes(int(channel), moved)
-        cost.ecc_bytes += unique_keys.size * cw
-        self.ssd.counters.add("channel_bytes", unique_keys.size * cw)
-
-        diff = codes.astype(np.int32) - query_i8[None, :]
-        refined = np.einsum("ij,ij->i", diff, diff).astype(np.int64)
-        cost.core_seconds += core.int8_distances(n_short, dim)
-        k = min(k, n_short)
-        top = np.argsort(refined, kind="stable")[:k]
-        cost.core_seconds += core.quicksort(n_short)
-        return refined[top], all_dadrs[top], radrs[top], cost
-
-    def _read_corrected(
-        self,
-        region: RegionInfo,
-        page_offset: int,
-        cost: PhaseCost,
-        stats: SearchStats,
-        byte_start: int = 0,
-        byte_len: Optional[int] = None,
-        charge_transfer: bool = True,
-    ) -> np.ndarray:
-        """Read a TLC page and ECC-correct it on the controller.
-
-        Only the ECC codewords covering ``[byte_start, byte_start+byte_len)``
-        cross the channel and get decoded; the rest of the sensed page stays
-        in the plane buffer.  The full corrected page is returned for
-        functional convenience (the simulator knows the golden data).
-        Callers that account codewords themselves (the rerank path, which
-        deduplicates across shortlist entries) pass ``charge_transfer=False``.
-        """
-        ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-        plane = self.ssd.array.plane(ppa)
-        raw, _ = plane.read_page(ppa.block, ppa.page)
-        cost.add_page(plane_index, page_id=page_id)
-        stats.pages_read += 1
-        if charge_transfer:
-            if byte_len is None:
-                byte_len = raw.size - byte_start
-            if byte_len > 0:
-                # A zero-length read moves nothing: no codeword crosses
-                # the channel and nothing is ECC-decoded.
-                cw = self.ssd.ecc.config.codeword_bytes
-                first_cw = byte_start // cw
-                last_cw = (byte_start + byte_len - 1) // cw
-                moved = (last_cw - first_cw + 1) * cw
-                cost.add_channel_bytes(channel, moved)
-                cost.ecc_bytes += moved
-                self.ssd.counters.add("channel_bytes", moved)
-        golden, _ = plane.golden_view(ppa.block, ppa.page)
-        return self.ssd.ecc.correct(
-            raw, golden, candidate_bytes=plane.last_flipped_bytes
-        )
-
-    def _fetch_documents(
-        self,
-        db: DeployedDatabase,
-        dadrs: np.ndarray,
-        stats: SearchStats,
-    ) -> Tuple[List[DocumentChunk], PhaseCost, float]:
-        """Step 9: document identification + transfer to the host.
-
-        Charges are per-query-unique, exactly as the rerank phase treats
-        its shortlist: one sense per distinct page (the latch serves every
-        chunk of a page from a single sense) and one channel/ECC codeword
-        per distinct (page, codeword) pair.  With packed document slots
-        several results routinely share a page; the query pays for the
-        page once.  Cross-query charges are never deduplicated (the
-        energy-counter invariant).  Pages are sensed in first-touch order,
-        pinning each plane's error-injection RNG stream.
-        """
-        cost = PhaseCost(name="documents", read_mode="tlc", with_compute=False)
-        region = db.document_region
-        documents: List[DocumentChunk] = []
-        n = len(dadrs)
-        if n == 0:
-            return documents, cost, 0.0
-        dadr_arr = np.asarray(dadrs, dtype=np.int64)
-        out_of_range = (dadr_arr < 0) | (dadr_arr >= region.n_slots)
-        if out_of_range.any():
-            bad = int(dadr_arr[np.argmax(out_of_range)])
-            raise IndexError(f"slot {bad} outside region {region.name!r}")
-        item_bytes = region.item_bytes
-        page_offsets = dadr_arr // region.slots_per_page
-        starts = (dadr_arr % region.slots_per_page) * item_bytes
-        cw = self.ssd.ecc.config.codeword_bytes
-        first_cw = starts // cw
-        last_cw = (starts + max(item_bytes, 1) - 1) // cw
-
-        unique_pages, first_rows = np.unique(page_offsets, return_index=True)
-        touch_order = np.argsort(first_rows, kind="stable")
-        cache = self.page_cache
-        cached_u = np.zeros(unique_pages.size, dtype=bool)
-        pages: Dict[int, np.ndarray] = {}
-        plane_of_page = np.empty(unique_pages.size, dtype=np.int64)
-        channel_of_page = np.empty(unique_pages.size, dtype=np.int64)
-        page_id_of_page = np.empty(unique_pages.size, dtype=np.int64)
-        for rank in touch_order:
-            page_offset = int(unique_pages[rank])
-            ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-            entry = (
-                cache.lookup(region, page_offset) if cache is not None else None
-            )
-            if entry is not None:
-                cached_u[rank] = True
-                pages[page_offset] = entry.data
-                self._bill_dram_hit(cost, stats, entry.nbytes)
-            else:
-                plane = self.ssd.array.plane(ppa)
-                raw, _ = plane.read_page(ppa.block, ppa.page)
-                golden, _ = plane.golden_view(ppa.block, ppa.page)
-                pages[page_offset] = self.ssd.ecc.correct(
-                    raw, golden, candidate_bytes=plane.last_flipped_bytes
-                )
-                self._admit_page(region, page_offset, "document")
-            plane_of_page[rank] = plane_index
-            channel_of_page[rank] = channel
-            page_id_of_page[rank] = page_id
-
-        # One sense charge per distinct uncached page, in first-touch order;
-        # cache hits already billed their DRAM access above.
-        for rank in touch_order:
-            if cached_u[rank]:
-                continue
-            cost.add_page(
-                int(plane_of_page[rank]), page_id=int(page_id_of_page[rank])
-            )
-        stats.pages_read += int((~cached_u).sum())
-        # One channel/ECC codeword per distinct (page, codeword) pair the
-        # results touch, deduplicated in a single unique() pass.  Codewords
-        # on cache-served pages never cross the channel or the ECC engine.
-        counts = (last_cw - first_cw + 1).astype(np.int64)
-        within = np.arange(counts.sum()) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        cw_rows = np.repeat(np.arange(n), counts)
-        cw_index = np.repeat(first_cw, counts) + within
-        cw_per_page = int(last_cw.max()) + 1
-        keys = page_offsets[cw_rows] * cw_per_page + cw_index
-        unique_keys = np.unique(keys)
-        key_ranks = np.searchsorted(unique_pages, unique_keys // cw_per_page)
-        sensed_keys = ~cached_u[key_ranks]
-        unique_keys = unique_keys[sensed_keys]
-        key_channels = channel_of_page[key_ranks[sensed_keys]]
-        for channel in np.unique(key_channels):
-            moved = int((key_channels == channel).sum()) * cw
-            cost.add_channel_bytes(int(channel), moved)
-        cost.ecc_bytes += unique_keys.size * cw
-        self.ssd.counters.add("channel_bytes", unique_keys.size * cw)
-
-        for i in range(n):
-            original_id = db.original_of_dadr(int(dadr_arr[i]))
-            if db.corpus is not None:
-                documents.append(db.corpus[original_id])
-            else:
-                page = pages[int(page_offsets[i])]
-                start = int(starts[i])
-                payload = page[start : start + item_bytes]
-                documents.append(
-                    DocumentChunk(
-                        chunk_id=original_id,
-                        text=DocumentChunk.decode_bytes(payload),
-                    )
-                )
-        host_bytes = float(n * item_bytes)
-        host_transfer_s = host_bytes / self.ssd.spec.host_link_bandwidth_bps
-        return documents, cost, host_transfer_s
 
     # ------------------------------------------------- batched TLC kernels
 
@@ -1271,7 +717,7 @@ class InStorageAnnsEngine:
 
         The energy-counter invariant bills unique senses *per query*: a page
         two queries touch costs two senses and two full-page ECC decodes,
-        exactly as the scalar walk performs them.  The batch kernels sense
+        exactly as each query served alone would.  The batch kernels sense
         each batch-unique page once functionally, so the per-query remainder
         is charged here -- shared host work, unshared energy.
         """
@@ -1285,7 +731,7 @@ class InStorageAnnsEngine:
         self,
         db: DeployedDatabase,
         queries: np.ndarray,
-        shortlists: Sequence[object],
+        shortlists: Sequence[TtlBlock],
         ks: Sequence[int],
         stats_list: Sequence[SearchStats],
     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, PhaseCost]]:
@@ -1296,7 +742,7 @@ class InStorageAnnsEngine:
         ECC-corrected once (:meth:`_sense_corrected_batch`), the INT8 codes
         gather into one ``(n_total_short, dim)`` matrix refined by a single
         einsum, and each query takes its top-k from its own segment.
-        Billing stays per query and bit-identical to :meth:`_rerank`: each
+        Billing stays per query, as if each query were served alone: each
         query is charged its own unique pages, deduped channel codewords,
         ECC bytes and core time, and the energy counters advance per query
         (:meth:`_bill_shared_tlc_senses`).  Returns one
@@ -1311,16 +757,7 @@ class InStorageAnnsEngine:
 
         per_query: List[Tuple[np.ndarray, np.ndarray]] = []
         for shortlist in shortlists:
-            if isinstance(shortlist, TtlBlock):
-                radrs = shortlist.radrs
-                dadrs = shortlist.dadrs
-            else:
-                radrs = np.array(
-                    [entry.radr for entry in shortlist], dtype=np.int64
-                )
-                dadrs = np.array(
-                    [entry.dadr for entry in shortlist], dtype=np.int64
-                )
+            radrs, dadrs = shortlist.radrs, shortlist.dadrs
             if radrs.size and (
                 radrs.min() < 0 or radrs.max() >= region.n_slots
             ):
@@ -1385,8 +822,8 @@ class InStorageAnnsEngine:
                         int(plane_of[row]), page_id=int(page_id_of[row])
                     )
                     stats_list[qi].pages_read += 1
-            # Same (page, codeword) dedupe the scalar walk performs; mirror
-            # hits never cross the channel or the ECC engine.
+            # One channel/ECC codeword per query-distinct (page, codeword);
+            # mirror hits never cross the channel or the ECC engine.
             first_cw = seg_starts // cw
             last_cw = (seg_starts + dim - 1) // cw
             cw_counts = (last_cw - first_cw + 1).astype(np.int64)
@@ -1430,9 +867,10 @@ class InStorageAnnsEngine:
 
         Every query's result DADRs are resolved in one columnar pass and
         each batch-unique page materializes once (sense + one
-        :meth:`EccEngine.correct_batch` call); the per-query charges are
-        exactly :meth:`_fetch_documents`'s -- query-unique page senses and
-        query-unique channel/ECC codewords -- with the per-query unique
+        :meth:`EccEngine.correct_batch` call); each query is charged as if
+        served alone -- query-unique page senses (the latch serves every
+        packed chunk of a sensed page) and query-unique channel/ECC
+        codewords -- with the per-query unique
         senses billed to the energy counters
         (:meth:`_bill_shared_tlc_senses`).  Returns one
         ``(documents, cost, host_transfer_seconds)`` tuple per query.
@@ -1485,8 +923,7 @@ class InStorageAnnsEngine:
             )
             seg_rank = page_rank[lo:hi]
             # One sense per query-distinct uncached page, in this query's
-            # first-touch order -- identical to the scalar walk's charges;
-            # mirror hits bill their DRAM access instead.
+            # first-touch order; mirror hits bill their DRAM access instead.
             seg_unique, seg_first = np.unique(seg_rank, return_index=True)
             for rank in seg_unique[np.argsort(seg_first, kind="stable")]:
                 if cached_u[rank]:
@@ -1557,18 +994,21 @@ class InStorageAnnsEngine:
     ) -> ReisQueryResult:
         """Run one query through the full in-storage pipeline.
 
-        Builds a :class:`~repro.core.plan.QueryPlan` and executes it with
-        the sequential :class:`~repro.core.plan.PlanExecutor`.  For IVF
-        databases ``nprobe`` selects how many clusters the fine search
-        visits (default: enough for ~sqrt(nlist)).  For flat databases the
-        fine search scans the whole embedding region (brute force, the
-        "BF" rows of Figs. 7/8/10).  With ``metadata_filter`` only
-        embeddings deployed with that tag can be returned (Sec. 7.1).
+        A solo query is a batch of one through :meth:`search_batch`; its
+        latency report is the solo composition every batched query also
+        carries.  For IVF databases ``nprobe`` selects how many clusters
+        the fine search visits (default: enough for ~sqrt(nlist)).  For
+        flat databases the fine search scans the whole embedding region
+        (brute force, the "BF" rows of Figs. 7/8/10).  With
+        ``metadata_filter`` only embeddings deployed with that tag can be
+        returned (Sec. 7.1).
         """
-        plan = build_query_plan(
-            self, db, query, k, nprobe, fetch_documents, metadata_filter
-        )
-        return PlanExecutor(self).run(plan)
+        query = np.asarray(query, dtype=np.float32)
+        if query.ndim != 1:
+            raise ValueError(f"query must be a flat vector of dim {db.dim}")
+        return self.search_batch(
+            db, query[None], k, nprobe, fetch_documents, metadata_filter
+        ).results[0]
 
     def search_batch(
         self,
@@ -1582,8 +1022,8 @@ class InStorageAnnsEngine:
     ) -> BatchExecution:
         """Serve a batch of queries concurrently against this device.
 
-        Functional execution is per query (bit-identical to calling
-        :meth:`search` in a loop); the latency model charges the batch
+        Functional results are per query (bit-identical to serving each
+        query as a batch of one); the latency model charges the batch
         jointly, amortizing page senses across queries and overlapping
         independent queries across dies and channels (see
         :class:`~repro.core.batch.BatchExecutor`).  ``host_profile``

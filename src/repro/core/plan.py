@@ -1,24 +1,21 @@
 """Query plans: the *what* of an in-storage search, separated from the *how*.
 
 The REIS search pipeline has five phases (Sec. 4.3): IBC broadcast,
-coarse search, fine search, reranking, and document identification.  The
-seed implementation hard-wired that sequence inside ``search()``; this
-module turns each phase into a composable :class:`PlanStage` object so that
+coarse search, fine search, reranking, and document identification.  This
+module describes a query as data:
 
-* ``search()`` becomes "build plan, execute plan" (:func:`build_query_plan`
-  followed by :class:`PlanExecutor`),
-* alternative schedules are *data*, not code -- the batch executor
-  (:mod:`repro.core.batch`) runs the same stages against a whole batch and
-  swaps only the cost composition, and
-* every stage records exactly which pages it sensed (via
-  :class:`~repro.core.costing.PhaseCost`), which is what lets the batch
-  costing amortize senses across queries.
+* a :class:`QueryPlan` is the validated list of :class:`PlanStage` records
+  (:func:`build_query_plan`); the stages carry parameters, not code;
+* a :class:`PageSchedule` orders one phase's page demands and marks which
+  ones really sense, so trace, energy and cost all bill the same senses;
+* :func:`compose_solo_report` turns a query's recorded
+  :class:`~repro.core.costing.PhaseCost` records into the latency it would
+  have on an otherwise-idle device.
 
-Stages mutate a per-query :class:`PlanContext`; the functional work itself
-stays in :class:`~repro.core.engine.InStorageAnnsEngine`, whose phase
-methods are the hardware-level primitives the stages compose.  Executing a
-plan sequentially is bit- and latency-identical to the seed's monolithic
-``search()``.
+Execution lives in one place: the page-major
+:class:`~repro.core.batch.BatchExecutor` (per shard, under the
+:class:`~repro.core.shard.ShardRouter`), which threads a per-query
+:class:`PlanContext` through the phases.  A solo query is a batch of one.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 
 from repro.core.costing import PhaseCost, compose_phase, merge_phase_totals
 from repro.core.layout import DeployedDatabase
-from repro.core.registry import TtlEntry
+from repro.core.registry import TtlBlock
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport
 
@@ -94,30 +91,24 @@ class PlanContext:
     stats: SearchStats = field(default_factory=SearchStats)
     query_code: Optional[np.ndarray] = None
     clusters: Optional[List[int]] = None
-    # The fine phase's rescoring shortlist: a columnar
-    # :class:`~repro.core.registry.TtlBlock` once the fine search ran
-    # (``_rerank`` also accepts a list of ``TtlEntry`` for callers that
-    # assemble shortlists by hand).
-    shortlist: object = field(default_factory=list)
+    # The fine phase's rescoring shortlist, nearest first.
+    shortlist: TtlBlock = field(default_factory=TtlBlock.empty)
     distances: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     dadrs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     slots: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     documents: List[DocumentChunk] = field(default_factory=list)
     ibc_seconds: float = 0.0
     host_seconds: float = 0.0
-    # Phase name -> raw resource usage, in execution order.  The sequential
-    # executor composes each cost solo; the batch executor composes the
-    # same costs jointly across queries.
+    # Phase name -> raw resource usage, in execution order.  Composed solo
+    # per query (compose_solo_report) and jointly across the batch
+    # (repro.core.batch.compose_batch_report).
     phase_costs: Dict[str, PhaseCost] = field(default_factory=dict)
 
 
 class PlanStage:
-    """One phase of a query plan.  Subclasses implement :meth:`run`."""
+    """One phase of a query plan: its name plus its parameters."""
 
     name: str = "stage"
-
-    def run(self, engine: "InStorageAnnsEngine", ctx: PlanContext) -> None:
-        raise NotImplementedError
 
 
 @dataclass
@@ -126,10 +117,6 @@ class BroadcastStage(PlanStage):
 
     name: str = "ibc"
 
-    def run(self, engine: "InStorageAnnsEngine", ctx: PlanContext) -> None:
-        ctx.query_code = ctx.db.binary_quantizer.encode_one(ctx.query)
-        ctx.ibc_seconds = engine._input_broadcast(ctx.query_code, ctx.stats)
-
 
 @dataclass
 class CoarseStage(PlanStage):
@@ -137,12 +124,6 @@ class CoarseStage(PlanStage):
 
     nprobe: int = 1
     name: str = "coarse"
-
-    def run(self, engine: "InStorageAnnsEngine", ctx: PlanContext) -> None:
-        ctx.clusters, cost = engine._coarse_search(
-            ctx.db, ctx.query_code, self.nprobe, ctx.stats
-        )
-        ctx.phase_costs[self.name] = cost
 
 
 @dataclass
@@ -153,13 +134,6 @@ class FineStage(PlanStage):
     metadata_filter: Optional[int] = None
     name: str = "fine"
 
-    def run(self, engine: "InStorageAnnsEngine", ctx: PlanContext) -> None:
-        ctx.shortlist, cost = engine._fine_search(
-            ctx.db, ctx.query_code, ctx.clusters, self.shortlist_size,
-            ctx.stats, self.metadata_filter,
-        )
-        ctx.phase_costs[self.name] = cost
-
 
 @dataclass
 class RerankStage(PlanStage):
@@ -168,77 +142,12 @@ class RerankStage(PlanStage):
     k: int = 10
     name: str = "rerank"
 
-    def run(self, engine: "InStorageAnnsEngine", ctx: PlanContext) -> None:
-        ctx.distances, ctx.dadrs, ctx.slots, cost = engine._rerank(
-            ctx.db, ctx.query, ctx.shortlist, self.k, ctx.stats
-        )
-        ctx.phase_costs[self.name] = cost
-
-    @staticmethod
-    def run_batch(
-        engine: "InStorageAnnsEngine",
-        db: DeployedDatabase,
-        stages: "List[RerankStage]",
-        ctxs: "List[PlanContext]",
-    ) -> None:
-        """Page-major batch kernel: every query's shortlist in one pass.
-
-        Bit-identical to calling :meth:`run` per context (the per-query
-        billing and top-k math are unchanged); only the page
-        materialization, the ECC decode and the distance einsum are shared
-        (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`).
-        """
-        outs = engine._rerank_batch(
-            db,
-            np.stack([ctx.query for ctx in ctxs]),
-            [ctx.shortlist for ctx in ctxs],
-            [stage.k for stage in stages],
-            [ctx.stats for ctx in ctxs],
-        )
-        for ctx, (distances, dadrs, slots, cost) in zip(ctxs, outs):
-            ctx.distances, ctx.dadrs, ctx.slots = distances, dadrs, slots
-            ctx.phase_costs["rerank"] = cost
-
 
 @dataclass
 class DocumentStage(PlanStage):
     """Step 9: follow each winner's DADR to its chunk, transfer to host."""
 
     name: str = "documents"
-
-    def run(self, engine: "InStorageAnnsEngine", ctx: PlanContext) -> None:
-        if not ctx.dadrs.size:
-            return
-        ctx.documents, cost, ctx.host_seconds = engine._fetch_documents(
-            ctx.db, ctx.dadrs, ctx.stats
-        )
-        ctx.phase_costs[self.name] = cost
-
-    @staticmethod
-    def run_batch(
-        engine: "InStorageAnnsEngine",
-        db: DeployedDatabase,
-        ctxs: "List[PlanContext]",
-    ) -> None:
-        """Page-major batch kernel: every query's winner DADRs in one pass.
-
-        Queries with no winners are skipped exactly as :meth:`run` skips
-        them (no ``documents`` phase cost is recorded for them); the rest
-        share one functional page pass while keeping per-query charges
-        (:meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`).
-        """
-        active = [i for i, ctx in enumerate(ctxs) if ctx.dadrs.size]
-        if not active:
-            return
-        outs = engine._fetch_documents_batch(
-            db,
-            [ctxs[i].dadrs for i in active],
-            [ctxs[i].stats for i in active],
-        )
-        for i, (documents, cost, host_s) in zip(active, outs):
-            ctxs[i].documents = documents
-            ctxs[i].host_seconds = host_s
-            ctxs[i].phase_costs["documents"] = cost
 
 
 @dataclass
@@ -255,11 +164,6 @@ class MergeStage(PlanStage):
 
     fan_in: int = 1
     name: str = "merge"
-
-    def run(self, engine: "InStorageAnnsEngine", ctx: PlanContext) -> None:
-        raise RuntimeError(
-            "MergeStage executes on the host (ShardRouter), not on a device"
-        )
 
 
 @dataclass(frozen=True)
@@ -414,7 +318,7 @@ def schedule_senses(
     """Vectorized per-plane latch simulation over a service order.
 
     A request senses fresh unless the previous request on the *same plane*
-    latched the *same page* -- exactly the scalar walk that kept a
+    latched the *same page* -- a per-request walk keeping a
     ``latched[plane]`` dict, evaluated as one stable sort by plane plus a
     neighbour comparison.  ``plane_of_page`` runs once per unique page.
     """
@@ -529,30 +433,6 @@ def build_query_plan(
     return QueryPlan(db=db, query=query, k=k, stages=stages, nprobe=nprobe)
 
 
-class PlanExecutor:
-    """Runs one plan's stages in order and composes the solo latency.
-
-    This is the sequential schedule: every phase is charged as if the
-    device were otherwise idle, exactly as the seed's monolithic
-    ``search()`` did.  The batch executor reuses the same functional
-    execution (via :meth:`execute`) but replaces the cost composition.
-    """
-
-    def __init__(self, engine: "InStorageAnnsEngine") -> None:
-        self.engine = engine
-
-    def execute(self, plan: QueryPlan) -> Tuple[ReisQueryResult, PlanContext]:
-        """Run the stages functionally and return (result, final context)."""
-        engine = self.engine
-        ctx = PlanContext(db=plan.db, query=plan.query)
-        for stage in plan.stages:
-            stage.run(engine, ctx)
-        return finalize_query_result(engine, plan, ctx), ctx
-
-    def run(self, plan: QueryPlan) -> ReisQueryResult:
-        return self.execute(plan)[0]
-
-
 def compose_solo_report(
     engine: "InStorageAnnsEngine", ctx: PlanContext
 ) -> LatencyReport:
@@ -580,10 +460,9 @@ def finalize_query_result(
 ) -> ReisQueryResult:
     """Compose a query's solo latency report and package its result.
 
-    Shared by the sequential :class:`PlanExecutor` and the page-major batch
-    executor: however a plan was *serviced*, its per-query phase costs are
-    composed solo here, so every query keeps the latency report it would
-    have had on an otherwise-idle device.
+    However a plan was *serviced* -- alone, in a batch, or across shards --
+    its per-query phase costs are composed solo here, so every query keeps
+    the latency report it would have had on an otherwise-idle device.
     """
     report = compose_solo_report(engine, ctx)
 

@@ -40,10 +40,10 @@ Deadline-missed queries are **never dropped**: they are served, returned,
 and counted (:attr:`~repro.core.batch.BatchExecution.deadline_misses`,
 :class:`QueueServeReport`), because retrieval results are still useful
 late and silent drops would corrupt the bit-identity contract.  The union
-of results produced through the queue is bit-identical per query to the
-direct :meth:`~repro.core.engine.InStorageAnnsEngine.search` path -- the
-queue only *partitions* submissions into batches, and batching itself is
-bit-identical by the PR 3 order-preserving replay.
+of results produced through the queue is bit-identical per query to
+serving each query alone (a batch of one) -- the queue only *partitions*
+submissions into batches, and a query's results do not depend on its
+batch (the order-preserving replay in :mod:`repro.core.batch`).
 """
 
 from __future__ import annotations

@@ -704,7 +704,7 @@ class ShardRouter:
         for shard in live:
             state.runs.append(self._make_run(state, shard))
         for run in state.runs:
-            run.executor.run_ibc(run.plans, run.ctxs)
+            run.executor.run_ibc(run.ctxs)
 
         if sdb.is_ivf:
             self._coarse_barrier(state)
@@ -808,7 +808,7 @@ class ShardRouter:
         for shard in sorted(by_shard):
             mine = set(by_shard[shard])
             run = self._make_run(state, shard, failover=True)
-            run.executor.run_ibc(run.plans, run.ctxs)
+            run.executor.run_ibc(run.ctxs)
             position = {
                 int(c): i
                 for i, c in enumerate(sdb.assignment.shard_clusters[shard])
@@ -1555,6 +1555,7 @@ class ShardRouter:
             shard_seconds[run.shard] += report.total_s
             stats.scan_requests += run.stats.scan_requests
             stats.scan_senses += run.stats.scan_senses
+            stats.cache_hits += run.stats.cache_hits
             if run.failover:
                 failover_total = max(failover_total, report.total_s)
             else:

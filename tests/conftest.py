@@ -68,6 +68,19 @@ def deployed_device(small_vectors, small_corpus, small_ivf_model):
 
 
 @pytest.fixture(scope="session")
+def unit_reference(deployed_device, small_vectors, small_ivf_model):
+    """The reference oracle (tests/reference_search.py) for
+    ``deployed_device``'s IVF database."""
+    from tests.reference_search import reference_for
+
+    device, db_id = deployed_device
+    vectors, _ = small_vectors
+    return reference_for(
+        device, db_id, vectors, centroids=small_ivf_model.centroids
+    )
+
+
+@pytest.fixture(scope="session")
 def deployed_flat_device(small_vectors, small_corpus):
     """A tiny REIS device with one flat (brute-force) database (read-only)."""
     vectors, _ = small_vectors

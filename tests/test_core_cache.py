@@ -29,6 +29,8 @@ from repro.sim.rng import zipf_ranks, zipf_weights
 from repro.ssd.dram import InternalDram
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
+from tests.reference_search import assert_matches_reference, reference_for
+
 DIM = 16
 NLIST = 5
 K = 5
@@ -282,21 +284,18 @@ class TestCachedServingBitIdentity:
     def test_solo_searches_bit_identical_with_cache(self):
         vectors, model, queries = _base(120, "cache-solo")
         cached_dev = ReisDevice(deep_config("CSOLO-ON"))
-        plain_dev = ReisDevice(deep_config("CSOLO-OFF"))
         cdb = cached_dev.ivf_deploy("db", vectors, ivf_model=model, seed=0)
-        pdb = plain_dev.ivf_deploy("db", vectors, ivf_model=model, seed=0)
         cached_dev.enable_page_cache(400_000)
         cdbo = cached_dev.database(cdb)
-        pdbo = plain_dev.database(pdb)
+        reference = reference_for(
+            cached_dev, cdb, vectors, centroids=model.centroids
+        )
         for _round in range(2):
             for query in queries:
                 mine = cached_dev.engine.search(cdbo, query, k=K, nprobe=NLIST)
-                ref = plain_dev.engine.search(pdbo, query, k=K, nprobe=NLIST)
-                assert np.array_equal(mine.ids, ref.ids)
-                assert np.array_equal(mine.distances, ref.distances)
-                assert [d.chunk_id for d in mine.documents] == [
-                    d.chunk_id for d in ref.documents
-                ]
+                assert_matches_reference(
+                    mine, reference.search(query, k=K, nprobe=NLIST)
+                )
         assert cached_dev.ssd.counters["dram_cache_hits"] > 0
 
     def test_dram_hits_are_billed_in_the_latency_report(self):
@@ -566,3 +565,29 @@ class TestSchedulerCacheAccounting:
         assert scheduler.report()["cache_hits"] == (
             scheduler.accounting.cache_hits
         )
+
+    def test_sharded_batch_reports_cache_hits(self):
+        """A sharded cached batch reports every shard's billed DRAM hits:
+        ``batch_stats.cache_hits`` == the summed per-shard
+        ``dram_cache_hits`` counter delta."""
+        n, dim, nlist = 360, 64, 12
+        vectors, _ = make_clustered_embeddings(n, dim, nlist, seed="cshard")
+        queries = make_queries(vectors, 6, seed="cshard-q")
+        model = build_ivf_model(vectors, nlist, seed=0)
+        device = ShardedReisDevice(
+            3, tiny_config("CSHARD"), placement="cluster", replication_factor=2
+        )
+        db = device.ivf_deploy("db", vectors, ivf_model=model, seed=0)
+        # Each shard mirrors its centroid page: every warm batch hits.
+        device.enable_page_cache(30_000, kinds=("centroid",))
+
+        def billed():
+            return sum(
+                shard.ssd.counters["dram_cache_hits"] for shard in device.shards
+            )
+
+        device.ivf_search(db, queries, k=K, nprobe=5)  # warm
+        before = billed()
+        warm = device.ivf_search(db, queries, k=K, nprobe=5)
+        assert billed() - before > 0
+        assert warm.batch_stats.cache_hits == billed() - before

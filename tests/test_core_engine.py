@@ -16,6 +16,7 @@ from repro.core.config import NO_OPT, OptFlags, tiny_config
 from repro.core.engine import InStorageAnnsEngine
 
 from tests.conftest import SMALL_DIM, SMALL_N, SMALL_NLIST
+from tests.reference_search import ReferenceSearch, assert_matches_reference
 
 
 class TestEngineMatchesHostReference:
@@ -27,14 +28,21 @@ class TestEngineMatchesHostReference:
         return BqIvfIndex(SMALL_DIM, SMALL_NLIST, seed=0).fit(vectors)
 
     @pytest.mark.parametrize("nprobe", [1, 3, SMALL_NLIST])
-    def test_ivf_results_match(self, deployed_device, reference, small_queries, nprobe):
+    def test_ivf_results_match(
+        self, deployed_device, reference, unit_reference, small_queries, nprobe
+    ):
         device, db_id = deployed_device
         db = device.database(db_id)
         for query in small_queries[:6]:
             result = device.engine.search(db, query, k=10, nprobe=nprobe)
+            # Bit-exact against the page-free reference oracle...
+            assert_matches_reference(
+                result, unit_reference.search(query, k=10, nprobe=nprobe)
+            )
+            # ...and with the host-side BQ-IVF index: distances agree
+            # exactly (same INT8 arithmetic); id order may differ only
+            # where distances tie.
             ref_dist, ref_ids = reference.search(query, 10, nprobe=nprobe)
-            # Distances must agree exactly (same INT8 arithmetic); id order
-            # may differ only where distances tie.
             assert np.array_equal(result.distances, ref_dist)
             overlap = len(set(result.ids.tolist()) & set(ref_ids.tolist()))
             assert overlap >= 9
@@ -159,14 +167,14 @@ class TestDistanceFiltering:
         assert retries <= len(small_queries) // 4
 
     def test_overaggressive_threshold_triggers_retry(
-        self, small_vectors, small_corpus, small_queries
+        self, small_vectors, small_corpus, small_queries, small_ivf_model
     ):
         """A threshold that filters everything forces the unfiltered rescan
         (Sec. 4.3.3): correctness never depends on the calibrated filter."""
         vectors, _ = small_vectors
         device = ReisDevice(tiny_config("DF-RETRY"))
         db_id = device.ivf_deploy(
-            "r", vectors, nlist=SMALL_NLIST, corpus=small_corpus, seed=0
+            "r", vectors, ivf_model=small_ivf_model, corpus=small_corpus, seed=0
         )
         db = device.database(db_id)
         calibrated = db.filter_threshold
@@ -183,15 +191,15 @@ class TestDistanceFiltering:
         assert filtered.stats.pages_read > clean.stats.pages_read
 
         # And the rescued results equal the unfiltered reference.
-        no_df = ReisDevice(tiny_config("DF-RETRY-REF"), flags=OptFlags(distance_filtering=False))
-        ref_id = no_df.ivf_deploy(
-            "r", vectors, nlist=SMALL_NLIST, corpus=small_corpus, seed=0
+        reference = ReferenceSearch(
+            db, vectors, centroids=small_ivf_model.centroids,
+            corpus=small_corpus,
+            shortlist_factor=device.engine.params.shortlist_factor,
+            distance_filtering=False,
         )
-        reference = no_df.engine.search(
-            no_df.database(ref_id), small_queries[0], k=10, nprobe=3
+        assert_matches_reference(
+            filtered, reference.search(small_queries[0], k=10, nprobe=3)
         )
-        assert np.array_equal(filtered.ids, reference.ids)
-        assert np.array_equal(filtered.distances, reference.distances)
 
     def test_retry_survives_batched_serving(
         self, small_vectors, small_corpus, small_queries

@@ -5,9 +5,11 @@ The central contracts:
 * a :class:`~repro.core.plan.QueryPlan` is an explicit, inspectable
   schedule -- the five paper phases as data;
 * executing a batch through the :class:`~repro.core.batch.BatchExecutor`
-  returns **bit-identical** ids and distances to the sequential path
-  (property-tested over random database shapes), because batching only
-  changes the cost composition, never the functional command stream;
+  returns **bit-identical** ids and distances to the independent
+  reference oracle (``tests/reference_search.py``, property-tested over
+  random database shapes), and each query keeps the solo latency report
+  it gets as a batch of one -- batching only changes the cost
+  composition, never what a query computes;
 * the batched wall clock is never worse than the sequential serving time,
   and improves measurably once queries can share senses and overlap
   across dies and channels.
@@ -17,8 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.ann.ivf import build_ivf_model
 from repro.core.api import ReisDevice
 from repro.core.batch import BatchExecutor
+from repro.core.cache import LruPolicy
 from repro.core.commands import FlashOp
 from repro.core.config import NO_OPT, OptFlags, tiny_config
 from repro.core.costing import PhaseCost, compose_batch_phase, compose_phase
@@ -28,7 +32,6 @@ from repro.core.plan import (
     DocumentStage,
     FineStage,
     PageRequest,
-    PlanExecutor,
     RerankStage,
     build_page_schedule,
     build_query_plan,
@@ -36,6 +39,7 @@ from repro.core.plan import (
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
 from tests.conftest import SMALL_NLIST
+from tests.reference_search import assert_matches_reference, reference_for
 
 
 def _trace_count(device, op):
@@ -96,16 +100,6 @@ class TestPlanConstruction:
                 device.engine, db, small_queries[0], k=5, metadata_filter=3
             )
 
-    def test_executed_plan_matches_search(self, deployed_device, small_queries):
-        device, db_id = deployed_device
-        db = device.database(db_id)
-        plan = build_query_plan(device.engine, db, small_queries[1], k=7, nprobe=3)
-        from_plan = PlanExecutor(device.engine).run(plan)
-        from_search = device.engine.search(db, small_queries[1], k=7, nprobe=3)
-        assert np.array_equal(from_plan.ids, from_search.ids)
-        assert np.array_equal(from_plan.distances, from_search.distances)
-        assert from_plan.latency.total_s == from_search.latency.total_s
-
 
 class TestBatchBitIdentity:
     SETTINGS = settings(
@@ -132,6 +126,10 @@ class TestBatchBitIdentity:
         device = ReisDevice(tiny_config(f"BATCH-{seed}-{n}-{dim}"))
         db_id = device.ivf_deploy("b", vectors, nlist=nlist, seed=seed)
         db = device.database(db_id)
+        reference = reference_for(
+            device, db_id, vectors,
+            centroids=build_ivf_model(vectors, nlist, seed=seed).centroids,
+        )
 
         sequential = [
             device.engine.search(db, query, k=k, nprobe=2) for query in queries
@@ -140,10 +138,12 @@ class TestBatchBitIdentity:
             db, queries, k=k, nprobe=2
         )
         assert len(execution) == batch_size
-        for solo, batched in zip(sequential, execution):
-            assert np.array_equal(solo.ids, batched.ids)
-            assert np.array_equal(solo.distances, batched.distances)
-            # Per-query solo latency reports are preserved verbatim.
+        for query, solo, batched in zip(queries, sequential, execution):
+            assert_matches_reference(
+                batched, reference.search(query, k=k, nprobe=2)
+            )
+            # Per-query solo latency reports are preserved verbatim: a
+            # query in a batch of N reports what it reports alone.
             assert solo.latency.total_s == pytest.approx(
                 batched.latency.total_s, rel=1e-12
             )
@@ -297,10 +297,14 @@ class TestPageMajorExecution:
         dev_seq, db_seq, queries = self._deploy("seq")
         dev_bat, db_bat, _ = self._deploy("bat")
 
+        # Sixteen batches of one against one batch of sixteen.
         reads_before_seq = dev_seq.ssd.counters["page_reads"]
-        db = dev_seq.database(db_seq)
-        for query in queries:
-            dev_seq.engine.search(db, query, k=w["k"], nprobe=w["nprobe"])
+        solo_senses = sum(
+            dev_seq.ivf_search(
+                db_seq, query, k=w["k"], nprobe=w["nprobe"]
+            ).batch_stats.scan_senses
+            for query in queries
+        )
         reads_seq = dev_seq.ssd.counters["page_reads"] - reads_before_seq
 
         reads_before_bat = dev_bat.ssd.counters["page_reads"]
@@ -308,9 +312,10 @@ class TestPageMajorExecution:
         reads_bat = dev_bat.ssd.counters["page_reads"] - reads_before_bat
 
         stats = batch.batch_stats
-        saved = stats.scan_requests - stats.scan_senses
+        saved = solo_senses - stats.scan_senses
         assert saved > 0
-        # The batch performs exactly the scan senses it amortized fewer.
+        # The batch performs exactly the scan senses it amortized fewer;
+        # the TLC phases bill per query either way.
         assert reads_seq - reads_bat == saved
         # Energy: the sense component shrinks by exactly the saved senses;
         # the in-plane latch work is identical (it runs per visit).
@@ -387,6 +392,99 @@ class TestPageMajorExecution:
             executions["on"].batch_stats.scan_senses
             <= executions["off"].batch_stats.scan_senses
         )
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_single_query_sense_invariant(self, cached):
+        """A solo query through ``engine.search`` keeps the accounting
+        invariant: READ_PAGE trace delta == ``page_reads_slc_esp`` delta
+        == its batch-of-one ``scan_senses``, even when its probed
+        clusters share a boundary page (visited twice, sensed once).
+        With a cache, its billed DRAM hits equal its reported hits."""
+        w = self.WORKLOAD
+        device, db_id, queries = self._deploy(f"solo-senses-{cached}")
+        db = device.database(db_id)
+        counters = device.ssd.counters
+        query = queries[0]
+        if cached:
+            # Mirror the centroid page only: the warm-up leaves it
+            # resident, so every later search of this query hits it.
+            device.enable_page_cache(
+                40 * 1024, policy=LruPolicy(), kinds=("centroid",)
+            )
+            device.engine.search(db, query, k=w["k"], nprobe=w["nlist"])
+
+        reads_before = _trace_count(device, FlashOp.READ_PAGE)
+        slc_before = counters["page_reads_slc_esp"]
+        hits_before = counters["dram_cache_hits"]
+        result = device.engine.search(db, query, k=w["k"], nprobe=w["nlist"])
+        traced = _trace_count(device, FlashOp.READ_PAGE) - reads_before
+        counted = counters["page_reads_slc_esp"] - slc_before
+        billed_hits = counters["dram_cache_hits"] - hits_before
+
+        single = device.engine.search_batch(
+            db, query[None], k=w["k"], nprobe=w["nlist"]
+        )
+        # Precondition: the query's own schedule revisits a page.
+        assert single.stats.scan_requests > single.stats.scan_senses
+        assert traced == counted == single.stats.scan_senses
+        assert billed_hits == result.stats.cache_hits
+        assert (result.stats.cache_hits > 0) == cached
+
+    @given(
+        st.tuples(
+            st.integers(1500, 4000),  # n: more embedding pages than planes
+            st.integers(4, 24),  # nlist
+            st.integers(1, 24),  # nprobe (clamped to nlist)
+            st.integers(1, 8),  # k
+            st.integers(0, 10**6),  # seed
+        )
+    )
+    @settings(
+        max_examples=5,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_schedule_optimizer_on_single_queries(self, shape):
+        """Property: for a single query (a batch of one) the schedule
+        optimizer never changes ids, distances or the solo latency report,
+        and never costs senses or modeled batch time; when neither run
+        re-senses a page the two are identical in every modeled number.
+
+        The flag does matter for one query: with it off, a query whose
+        probed clusters revisit a page after another sense on that
+        page's plane evicted it senses the page again (e.g. n=3316,
+        nlist=22, nprobe=11: 13 senses on vs 15 off)."""
+        n, nlist, nprobe, k, seed = shape
+        vectors, _ = make_clustered_embeddings(n, 32, nlist, seed=seed)
+        model = build_ivf_model(vectors, nlist, seed=seed)
+        queries = make_queries(vectors, 3, seed=(seed, "sq"))
+        served = {}
+        for label, flags in (
+            ("on", OptFlags()),
+            ("off", OptFlags(schedule_optimization=False)),
+        ):
+            device = ReisDevice(tiny_config(f"SQ-{label}-{seed}"), flags=flags)
+            db_id = device.ivf_deploy("s", vectors, ivf_model=model, seed=seed)
+            db = device.database(db_id)
+            served[label] = [
+                device.engine.search_batch(
+                    db, query[None], k=k, nprobe=nprobe, fetch_documents=False
+                )
+                for query in queries
+            ]
+        for on, off in zip(served["on"], served["off"]):
+            assert np.array_equal(on.results[0].ids, off.results[0].ids)
+            assert np.array_equal(
+                on.results[0].distances, off.results[0].distances
+            )
+            assert (
+                on.results[0].latency.total_s == off.results[0].latency.total_s
+            )
+            assert on.stats.scan_requests == off.stats.scan_requests
+            assert on.stats.scan_senses <= off.stats.scan_senses
+            assert on.report.total_s <= off.report.total_s
+            if on.stats.scan_senses == off.stats.scan_senses:
+                assert on.report.total_s == off.report.total_s
 
     def test_metadata_filtered_entries_emit_no_rd_ttl(self):
         """The Sec. 7.1 tag comparison runs in-die: filtered entries never

@@ -4,9 +4,10 @@ The central contracts:
 
 * **Bit identity through the queue** -- for any arrival order, tenants
   and timeout settings, the union of results produced via the queue is
-  bit-identical per query to direct ``engine.search`` (the PR 3 property
-  extended to the new layer): the queue only *partitions* submissions
-  into batches, and batching is bit-identical by construction.
+  bit-identical per query to the independent reference oracle
+  (``tests/reference_search.py``): the queue only *partitions*
+  submissions into batches, and a query's results do not depend on its
+  batch.
 * **Fairness / no starvation** -- with one tenant flooding 10x the
   submissions of another, weighted round-robin keeps the slow tenant's
   p99 queue wait within the configured bound, and no deadline-missed
@@ -37,8 +38,11 @@ from repro.core import (
     tiny_config,
 )
 from repro.core.queue import BatchFormer, Submission
+from repro.ann.ivf import build_ivf_model
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 from repro.sim.latency import SimClock
+
+from tests.reference_search import assert_matches_reference, reference_for
 
 
 def _make_queue(device, db_id, **kwargs):
@@ -296,7 +300,10 @@ class TestQueueBitIdentity:
         queries = make_queries(vectors, n_subs, seed=(seed, "qq"))
         device = ReisDevice(tiny_config(f"QBI-{seed}-{n}-{dim}"))
         db_id = device.ivf_deploy("q", vectors, nlist=nlist, seed=seed)
-        db = device.database(db_id)
+        reference = reference_for(
+            device, db_id, vectors,
+            centroids=build_ivf_model(vectors, nlist, seed=seed).centroids,
+        )
 
         rng = np.random.default_rng(seed)
         arrivals = np.sort(rng.uniform(0.0, 5e-3, size=n_subs))
@@ -321,9 +328,9 @@ class TestQueueBitIdentity:
         merged = report.as_batch_result()
         assert len(merged) == n_subs
         for i in range(n_subs):
-            solo = device.engine.search(db, queries[i], k=k, nprobe=2)
-            assert np.array_equal(solo.ids, merged[i].ids)
-            assert np.array_equal(solo.distances, merged[i].distances)
+            assert_matches_reference(
+                merged[i], reference.search(queries[i], k=k, nprobe=2)
+            )
         # The merged decomposition covers the whole served wall clock.
         phases = merged.phase_seconds()
         assert sum(phases.values()) == pytest.approx(merged.wall_seconds)

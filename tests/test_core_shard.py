@@ -4,9 +4,10 @@ The central contracts:
 
 * **Bit identity across any split** -- for any corpus split, placement
   policy and k, the sharded top-k (ids *and* distances) equals the
-  single-device ``engine.search``, including metadata-filtered queries:
-  the router's distance merges reconstruct the single-device candidate
-  stream exactly (hypothesis property below).
+  reference oracle over the whole corpus (``tests/reference_search.py``),
+  including metadata-filtered queries: the router's distance merges
+  reconstruct the single-device candidate stream exactly (hypothesis
+  property below).
 * **Merge phase accounting** -- sharded batches report a ``merge`` phase
   and ``phase_seconds()`` still sums to ``wall_seconds``; the satellite
   regression pins the same decomposition on the single-device path.
@@ -37,6 +38,8 @@ from repro.core import (
     tiny_config,
 )
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
+
+from tests.reference_search import assert_matches_reference, reference_for
 
 
 class TestPlacement:
@@ -150,7 +153,10 @@ class TestShardedBitIdentity:
             did = sharded.db_deploy(
                 "s", vectors, metadata_tags=tags, seed=seed
             )
-        db = single.database(sid)
+        reference = reference_for(
+            single, sid, vectors,
+            centroids=model.centroids if use_ivf else None,
+        )
         nprobe = max(1, nlist // 2) if use_ivf else None
 
         for metadata_filter in (None, int(seed % 3)):
@@ -164,15 +170,13 @@ class TestShardedBitIdentity:
                     did, queries, k=k, metadata_filter=metadata_filter
                 )
             for query, result in zip(queries, batch):
-                solo = single.engine.search(
-                    db, query, k=k, nprobe=nprobe,
-                    metadata_filter=metadata_filter,
+                assert_matches_reference(
+                    result,
+                    reference.search(
+                        query, k=k, nprobe=nprobe,
+                        metadata_filter=metadata_filter,
+                    ),
                 )
-                assert np.array_equal(solo.ids, result.ids)
-                assert np.array_equal(solo.distances, result.distances)
-                assert [d.chunk_id for d in solo.documents] == [
-                    d.chunk_id for d in result.documents
-                ]
             # The merged wall clock decomposes exactly, merge included.
             phases = batch.phase_seconds()
             assert "merge" in phases
@@ -209,7 +213,9 @@ class TestShardedBitIdentity:
 
         single = ReisDevice(tiny_config(f"FBI-{seed}-{n}"))
         sid = single.ivf_deploy("s", vectors, ivf_model=model, seed=seed)
-        db = single.database(sid)
+        reference = reference_for(
+            single, sid, vectors, centroids=model.centroids
+        )
         sharded = ShardedReisDevice(
             shards,
             tiny_config(f"FBI-SH-{seed}-{n}"),
@@ -229,12 +235,9 @@ class TestShardedBitIdentity:
             assert err.cluster in set(int(c) for c in owned)
             return
         for query, result in zip(queries, batch):
-            solo = single.engine.search(db, query, k=k, nprobe=nprobe)
-            assert np.array_equal(solo.ids, result.ids)
-            assert np.array_equal(solo.distances, result.distances)
-            assert [d.chunk_id for d in solo.documents] == [
-                d.chunk_id for d in result.documents
-            ]
+            assert_matches_reference(
+                result, reference.search(query, k=k, nprobe=nprobe)
+            )
         # Failover work is billed; the wall clock still decomposes exactly.
         phases = batch.phase_seconds()
         assert sum(phases.values()) == pytest.approx(batch.wall_seconds)
@@ -247,22 +250,34 @@ class TestShardedBitIdentity:
             assert err.cluster in set(int(c) for c in owned)
             return
         for query, result in zip(queries, again):
-            solo = single.engine.search(db, query, k=k, nprobe=nprobe)
-            assert np.array_equal(solo.ids, result.ids)
-            assert np.array_equal(solo.distances, result.distances)
+            assert_matches_reference(
+                result, reference.search(query, k=k, nprobe=nprobe)
+            )
+
+
+def _pair_corpus():
+    vectors, _ = make_clustered_embeddings(800, 64, 16, seed="pair")
+    return vectors, build_ivf_model(vectors, 16, seed=0)
 
 
 @pytest.fixture(scope="module")
 def sharded_pair():
     """A single device and a 4-shard cluster over the same IVF corpus."""
-    vectors, _ = make_clustered_embeddings(800, 64, 16, seed="pair")
+    vectors, model = _pair_corpus()
     queries = make_queries(vectors, 16, seed="pair-q")
-    model = build_ivf_model(vectors, 16, seed=0)
     single = ReisDevice(tiny_config("PAIR-1"))
     sid = single.ivf_deploy("pair", vectors, ivf_model=model, seed=0)
     sharded = ShardedReisDevice(4, tiny_config("PAIR-4"), placement="cluster")
     did = sharded.ivf_deploy("pair", vectors, ivf_model=model, seed=0)
     return single, sid, sharded, did, queries
+
+
+@pytest.fixture(scope="module")
+def pair_reference(sharded_pair):
+    """The reference oracle over the pair's corpus (single device's layout)."""
+    single, sid, _, _, _ = sharded_pair
+    vectors, model = _pair_corpus()
+    return reference_for(single, sid, vectors, centroids=model.centroids)
 
 
 class TestMergeAccounting:
@@ -337,18 +352,14 @@ class TestLogicalPlan:
         assert "merge" not in BatchExecutor.SERVICEABLE_STAGES
         assert MergeStage().name == "merge"
 
-    def test_merge_stage_never_runs_on_a_device(self, sharded_pair):
-        single, sid, _, _, queries = sharded_pair
-        with pytest.raises(RuntimeError, match="host"):
-            MergeStage().run(single.engine, None)
-
 
 class TestShardedQueue:
     """The submission queue drains into the router, cluster-wide."""
 
-    def test_queue_results_bit_identical_and_fair(self, sharded_pair):
+    def test_queue_results_bit_identical_and_fair(
+        self, sharded_pair, pair_reference
+    ):
         single, sid, sharded, did, queries = sharded_pair
-        db = single.database(sid)
         policy = QueuePolicy(
             max_batch=4, min_batch=4, batching_timeout_s=2e-4,
             tenant_weights={"flood": 1, "slow": 1},
@@ -365,11 +376,9 @@ class TestShardedQueue:
         assert report.n_queries == 15
         merged = report.as_batch_result()
         for i in range(15):
-            solo = single.engine.search(
-                db, queries[i if i < 12 else i], k=5, nprobe=4
+            assert_matches_reference(
+                merged[i], pair_reference.search(queries[i], k=5, nprobe=4)
             )
-            assert np.array_equal(solo.ids, merged[i].ids)
-            assert np.array_equal(solo.distances, merged[i].distances)
         # Fairness machinery is the same cluster-wide: while both tenants
         # have work the slow one rides every batch.
         max_service = max(b.service_seconds for b in report.batches)
@@ -490,11 +499,13 @@ class TestShardedDeviceSurface:
         assert len(sdb.active_shards) <= 2
         queries = make_queries(vectors, 3, seed="tiny-q")
         batch = device.ivf_search(db_id, queries, k=4, nprobe=2)
-        db = single.database(sid)
+        reference = reference_for(
+            single, sid, vectors, centroids=model.centroids
+        )
         for query, result in zip(queries, batch):
-            solo = single.engine.search(db, query, k=4, nprobe=2)
-            assert np.array_equal(solo.ids, result.ids)
-            assert np.array_equal(solo.distances, result.distances)
+            assert_matches_reference(
+                result, reference.search(query, k=4, nprobe=2)
+            )
 
     def test_resolve_nprobe_uses_global_cluster_count(self):
         vectors, _ = make_clustered_embeddings(300, 32, 9, seed="np")

@@ -4,36 +4,39 @@ PR 3 made the SLC scan phases page-major at batch level; this file pins
 the same treatment for the two TLC phases:
 
 * **Bit identity** -- the batch kernels (`_rerank_batch`,
-  `_fetch_documents_batch`) reproduce the scalar walk exactly: ids,
-  distances AND decoded document text (property-tested over random
-  databases, corpus and corpus-free);
+  `_fetch_documents_batch`) reproduce the scalar reference oracle
+  (``tests/reference_search.py``) exactly: ids, distances AND decoded
+  document text (property-tested over random databases, corpus and
+  corpus-free), while every query keeps its batch-of-one latency;
 * **Energy invariant** -- batching shares host work, never charges:
   the TLC sense counters (``page_reads_tlc``) and the ECC decode
-  counter equal the sequential walk's, even when queries share pages
-  (:meth:`_bill_shared_tlc_senses` compensates the physical senses);
+  counter equal those of serving each query as a batch of one, even
+  when queries share pages (:meth:`_bill_shared_tlc_senses` compensates
+  the physical senses);
 * **One call per batch** -- the host profiler sees exactly one
   rerank/documents phase entry per batch;
 * **Vectorized ECC** -- :meth:`EccEngine.correct_batch` equals the
   per-page :meth:`EccEngine.correct` loop, outputs and counters,
   hinted and unhinted, correctable and uncorrectable;
-* **Zero-length reads bill zero codewords** -- the `_read_corrected`
-  regression (``max(byte_len, 1)`` used to charge one codeword for a
-  read that moves nothing).
+* **Codeword billing** -- a packed document never straddles an ECC
+  codeword, so fetching one bills exactly one codeword.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.ann.ivf import build_ivf_model
 from repro.core.api import ReisDevice
 from repro.core.batch import BatchExecutor
 from repro.core.config import tiny_config
-from repro.core.costing import PhaseCost
 from repro.core.plan import SearchStats
 from repro.host.profile import HostProfile
 from repro.nand.ecc import EccEngine
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
+
+from tests.reference_search import assert_matches_reference, reference_for
 
 SETTINGS = settings(
     max_examples=8,
@@ -52,7 +55,7 @@ def _chunk_corpus(n, seed):
 
 
 class TestTlcBatchBitIdentity:
-    """Batched TLC phases == the scalar walk, including document text."""
+    """Batched TLC phases == the reference, including document text."""
 
     @given(
         st.tuples(
@@ -76,6 +79,10 @@ class TestTlcBatchBitIdentity:
             "t", vectors, nlist=nlist, corpus=corpus, seed=seed
         )
         db = device.database(db_id)
+        reference = reference_for(
+            device, db_id, vectors,
+            centroids=build_ivf_model(vectors, nlist, seed=seed).centroids,
+        )
         # Force every document decode through the flash payloads so the
         # comparison covers the packed-region byte path, not the corpus
         # shortcut.
@@ -87,12 +94,10 @@ class TestTlcBatchBitIdentity:
         execution = BatchExecutor(device.engine).execute(
             db, queries, k=k, nprobe=2
         )
-        for solo, batched in zip(sequential, execution):
-            assert np.array_equal(solo.ids, batched.ids)
-            assert np.array_equal(solo.distances, batched.distances)
-            assert [d.text for d in solo.documents] == [
-                d.text for d in batched.documents
-            ]
+        for query, solo, batched in zip(queries, sequential, execution):
+            assert_matches_reference(
+                batched, reference.search(query, k=k, nprobe=2)
+            )
             assert solo.latency.total_s == pytest.approx(
                 batched.latency.total_s, rel=1e-12
             )
@@ -101,7 +106,8 @@ class TestTlcBatchBitIdentity:
         self, small_vectors, small_corpus, small_queries
     ):
         """Cross-query page sharing shares work, never charges: the TLC
-        sense and ECC decode counters equal the sequential walk's."""
+        sense and ECC decode counters of one batch of eight equal those of
+        eight batches of one."""
         vectors, _ = small_vectors
 
         def run(batched):
@@ -228,35 +234,24 @@ class TestCorrectBatchEquivalence:
         assert batch.uncorrectable_codewords == solo.uncorrectable_codewords
 
 
-class TestZeroLengthReadBilling:
-    """A zero-length `_read_corrected` moves nothing across the channel."""
+class TestDocumentCodewordBilling:
+    """Document fetches bill whole codewords, one per packed chunk."""
 
-    def test_zero_length_read_bills_no_codewords(self, deployed_device):
-        device, db_id = deployed_device
-        engine = device.engine
-        db = device.database(db_id)
-        region = db.int8_region
-        base_channel = engine.ssd.counters["channel_bytes"]
-
-        cost = PhaseCost(name="probe", read_mode="tlc", with_compute=False)
-        stats = SearchStats()
-        engine._read_corrected(region, 0, cost, stats, byte_start=0, byte_len=0)
-        # The sense itself is still billed...
-        assert stats.pages_read == 1
-        assert sum(cost.pages_per_plane.values()) == 1
-        # ...but no codeword crosses the channel and nothing is decoded.
-        assert cost.ecc_bytes == 0
-        assert cost.channel_bytes == {}
-        assert engine.ssd.counters["channel_bytes"] == base_channel
-
-    def test_one_byte_read_still_bills_one_codeword(self, deployed_device):
+    def test_single_document_bills_one_codeword(self, deployed_device):
         device, db_id = deployed_device
         engine = device.engine
         db = device.database(db_id)
         cw = engine.ssd.ecc.config.codeword_bytes
-        cost = PhaseCost(name="probe", read_mode="tlc", with_compute=False)
-        engine._read_corrected(
-            db.int8_region, 0, cost, SearchStats(), byte_start=0, byte_len=1
+        # This corpus packs into slots narrower than a codeword, and a
+        # power-of-two slot never straddles one.
+        assert db.document_region.item_bytes <= cw
+        base_channel = engine.ssd.counters["channel_bytes"]
+        stats = SearchStats()
+        ((_documents, cost, _host_s),) = engine._fetch_documents_batch(
+            db, [np.array([0], dtype=np.int64)], [stats]
         )
+        assert stats.pages_read == 1
+        assert sum(cost.pages_per_plane.values()) == 1
         assert cost.ecc_bytes == cw
         assert sum(cost.channel_bytes.values()) == cw
+        assert engine.ssd.counters["channel_bytes"] - base_channel == cw
