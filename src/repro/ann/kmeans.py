@@ -88,5 +88,24 @@ def kmeans(
 
     full_distances = pairwise_l2_squared(data, centroids)
     assignments = full_distances.argmin(axis=1).astype(np.int64)
+    _fill_empty_clusters(assignments, full_distances)
     inertia = float(full_distances[np.arange(n), assignments].sum())
     return KMeansResult(centroids, assignments, inertia, iterations)
+
+
+def _fill_empty_clusters(assignments: np.ndarray, distances: np.ndarray) -> None:
+    """Give every cluster at least one member, in place.
+
+    The final assignment can leave a centroid with no nearest point; an IVF
+    probe of such a cluster would scan nothing.  Each empty cluster takes
+    the point nearest to its centroid among clusters with more than one
+    member (one always exists since n >= k).  Centroids do not move, so the
+    coarse ranking of every query is unchanged.
+    """
+    counts = np.bincount(assignments, minlength=distances.shape[1])
+    for cluster in np.flatnonzero(counts == 0):
+        reach = np.where(counts[assignments] > 1, distances[:, cluster], np.inf)
+        point = int(reach.argmin())
+        counts[assignments[point]] -= 1
+        counts[cluster] = 1
+        assignments[point] = cluster

@@ -82,6 +82,20 @@ class TestKmeans:
             majority = np.bincount(found).max() / found.size
             assert majority > 0.95
 
+    def test_every_cluster_has_a_member(self):
+        # Without the empty-cluster fill this seed leaves cluster 1 empty
+        # (sizes 72/0/18), so an IVF probe of it scans nothing.
+        vectors, _ = make_clustered_embeddings(90, 64, 3, seed=404)
+        result = kmeans(vectors, 3, max_iterations=20, seed=404)
+        sizes = np.bincount(result.assignments, minlength=3)
+        assert (sizes > 0).all() and sizes.sum() == 90
+        d = ((vectors[:, None, :] - result.centroids[None, :, :]) ** 2).sum(axis=2)
+        # The filled cluster took the point nearest its centroid; every
+        # other point still sits with its nearest centroid.
+        (filled,) = np.flatnonzero(result.assignments != d.argmin(axis=1))
+        assert result.assignments[filled] == 1
+        assert filled == d[:, 1].argmin()
+
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 4), dtype=np.float32), 5)
