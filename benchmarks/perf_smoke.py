@@ -13,7 +13,13 @@ wall spent in the TLC phases (``host_rerank`` + ``host_documents``):
 the page-major batch kernels hold it low, and a reintroduced per-query
 TLC walk inflates the share regardless of how fast the CI machine is.
 
-A third gate covers the DRAM page cache: the hot-Zipf (s=1.2) stream
+A third gate, shaped the same way, watches the share of host wall
+spent in the fine scan (``host_fine``): the segmented scan kernel serves
+a whole phase with a few array calls after one page loop, and a
+reintroduced per-window (or per-query) Python walk over the scan
+inflates the share regardless of the machine's speed.
+
+A fourth gate covers the DRAM page cache: the hot-Zipf (s=1.2) stream
 served with a working-set-sized cost-aware cache must beat the same
 stream uncached in host wall (best-of-5 each, same process).  Cache
 hits skip the sense simulation, the ECC decode and the latch kernels,
@@ -45,13 +51,34 @@ REPEATS = 5
 TLC_SHARE_FACTOR = 1.5
 TLC_SHARE_FLOOR = 0.15
 TLC_SHARE_CEILING = 0.95
+# Fine-scan share: the same shape of gate on host_fine / host_wall.
+FINE_SHARE_FACTOR = 1.5
+FINE_SHARE_FLOOR = 0.15
+FINE_SHARE_CEILING = 0.95
+
+
+def phase_share(point, *phases) -> float:
+    """Fraction of the host wall spent in the named host phases."""
+    seconds = point["host_phase_seconds"]
+    spent = sum(seconds.get(f"host_{phase}", 0.0) for phase in phases)
+    return spent / max(point["host_wall_seconds"], 1e-12)
 
 
 def tlc_share(point) -> float:
     """Fraction of the host wall spent in the rerank+documents kernels."""
-    phases = point["host_phase_seconds"]
-    tlc = phases.get("host_rerank", 0.0) + phases.get("host_documents", 0.0)
-    return tlc / max(point["host_wall_seconds"], 1e-12)
+    return phase_share(point, "rerank", "documents")
+
+
+def share_gate(name, measured, baseline, factor, floor, ceiling) -> bool:
+    """Print one share gate's line; True when the measured share is in
+    budget (at most ``factor`` x the checked-in share, clamped to
+    ``[floor, ceiling]``)."""
+    budget = min(ceiling, max(floor, baseline * factor))
+    print(
+        f"perf-smoke: {name} share of host wall: measured "
+        f"{measured:.1%}, checked-in {baseline:.1%}, budget {budget:.1%}"
+    )
+    return measured <= budget
 
 
 def main() -> int:
@@ -85,21 +112,22 @@ def main() -> int:
         )
         return 1
 
-    baseline_share = tlc_share(baseline)
-    measured_share = tlc_share(measured)
-    share_budget = min(
-        TLC_SHARE_CEILING,
-        max(TLC_SHARE_FLOOR, baseline_share * TLC_SHARE_FACTOR),
-    )
-    print(
-        f"perf-smoke: TLC share of host wall: measured "
-        f"{measured_share:.1%}, checked-in {baseline_share:.1%}, "
-        f"budget {share_budget:.1%}"
-    )
-    if measured_share > share_budget:
+    if not share_gate(
+        "TLC", tlc_share(measured), tlc_share(baseline),
+        TLC_SHARE_FACTOR, TLC_SHARE_FLOOR, TLC_SHARE_CEILING,
+    ):
         print(
             "perf-smoke: FAIL -- rerank+documents host share regressed "
             "(per-query TLC walk reintroduced?)"
+        )
+        return 1
+    if not share_gate(
+        "fine-scan", phase_share(measured, "fine"), phase_share(baseline, "fine"),
+        FINE_SHARE_FACTOR, FINE_SHARE_FLOOR, FINE_SHARE_CEILING,
+    ):
+        print(
+            "perf-smoke: FAIL -- fine-scan host share regressed "
+            "(per-window scan dispatch reintroduced?)"
         )
         return 1
 

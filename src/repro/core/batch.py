@@ -9,26 +9,28 @@ router drives the same phase pieces per shard.
 
 :class:`BatchExecutor` works phase by phase:
 
-* **Scan phases (coarse, fine)** are driven by a columnar task table
-  (:class:`_ScanTasks`): the union of pages the batch touches, each mapped
-  to every (query, slot-window, threshold, filter) scan that wants it, as
-  parallel arrays scheduled with :func:`~repro.core.plan.schedule_order` /
-  :func:`~repro.core.plan.schedule_senses`.  The device senses each
-  scheduled page once and the array kernel
-  (:meth:`~repro.core.engine.InStorageAnnsEngine.scan_page_run`) drains
-  all interested queries against the latched data.  With
-  ``OptFlags.schedule_optimization`` the schedule groups every
-  request for a page into one run (maximum collisions); without it,
-  requests stay in query order and only accidental adjacency shares a
-  sense.
-* **Order-preserving TTL replay** keeps every query's results independent
-  of its batch: the kernel only *extracts* -- per-query TTL appends,
-  channel billing and the per-page quickselect are replayed afterwards in
-  each query's original slot order
-  (:meth:`~repro.core.engine.InStorageAnnsEngine.absorb_scan_hit`), so a
-  query's TTL goes through exactly the states it would in a batch of one.
-  Reordering page service across queries changes *when* a page is
-  sensed, never *what* any query computes from it.
+* **Scan phases (coarse, fine, the fine retry)** are driven by a
+  columnar task table (:class:`_ScanTasks`): every (query, page,
+  slot-window) demand as parallel arrays, scheduled with
+  :func:`~repro.core.plan.schedule_order` /
+  :func:`~repro.core.plan.schedule_senses`.  Each phase is one segmented
+  kernel (:meth:`BatchExecutor._scan_phase`): one loop senses each
+  scheduled page once and stacks its latched bytes (a cache hit stacks
+  its DRAM mirror instead), then XOR-popcount distances, the threshold,
+  the OOB decode with the metadata drop and every query's TTL selection
+  run as a few array calls over all window slots.  With
+  ``OptFlags.schedule_optimization`` the schedule groups every request
+  for a page into one run (maximum collisions); without it, requests
+  stay in query order and only accidental adjacency shares a sense.
+* **Order-preserving accounting replay** keeps every query's results and
+  modeled numbers independent of its batch: per-query page visits,
+  channel billing, stats and the per-page TTL compaction are replayed
+  from integer counts in each query's original slot order
+  (:meth:`BatchExecutor._bill_scan`, :meth:`TemporalTopList.replay`),
+  and :func:`final_ttl_rows` picks the rows that replay leaves in each
+  TTL -- the state a batch of one would reach.  Reordering page service
+  across queries changes *when* a page is sensed, never *what* any
+  query computes from it.
 * **Rerank and document phases** are page-major batch kernels too
   (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`,
   :meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`):
@@ -53,6 +55,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cache import CacheEntry
 from repro.core.costing import BatchPhaseBreakdown, PhaseCost, compose_batch_phase
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
@@ -65,11 +68,11 @@ from repro.core.plan import (
     schedule_senses,
     schedule_senses_cached,
 )
-from repro.core.registry import TemporalTopList
+from repro.core.registry import TemporalTopList, TtlBlock
 from repro.sim.latency import LatencyReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.core.engine import InStorageAnnsEngine, PageScanHit
+    from repro.core.engine import InStorageAnnsEngine
     from repro.host.profile import HostProfile
 
 # Shared no-op context for profiling-disabled runs: entering it reads no
@@ -280,6 +283,48 @@ def _tasks_from_ranges(
     )
 
 
+def final_ttl_rows(
+    queries: np.ndarray,
+    windows: np.ndarray,
+    dists: np.ndarray,
+    kept_from: np.ndarray,
+    ks: np.ndarray,
+) -> np.ndarray:
+    """Which survivor rows each query's TTL holds after its scan.
+
+    ``queries``/``windows``/``dists`` describe the survivor rows, grouped
+    by ascending query and in arrival order within a query;
+    ``kept_from[q]`` is the first window after query ``q``'s last per-page
+    compaction (:meth:`TemporalTopList.replay`).  A TTL holds the
+    ``ks[q]`` nearest rows (ties by arrival) of the windows before it and
+    every later row.  Distances are small integers, so each query's cut
+    distance comes from one histogram of (query, distance) keys instead
+    of a sort.  Returns the held rows' indices in row order.
+    """
+    n_queries = ks.size
+    tail = windows >= kept_from[queries]
+    width = int(dists.max()) + 1 if dists.size else 1
+    # Head rows keyed by (query, distance); tail rows past every key, the
+    # cut keys below included.
+    n_keys = n_queries * width
+    key = np.where(tail, n_keys + 1, queries * width + dists)
+    below = np.cumsum(
+        np.bincount(key, minlength=n_keys + 2)[:n_keys]
+        .reshape(n_queries, width),
+        axis=1,
+    )  # below[q, d]: head rows of query q at distance <= d
+    cut = (below < ks[:, None]).sum(axis=1)  # first distance reaching k
+    quota = ks - np.where(cut > 0, below[np.arange(n_queries), cut - 1], 0)
+    cut_key = (np.arange(n_queries) * width + cut)[queries]
+    keep = tail | (key < cut_key)
+    # Rows at the cut distance: the first ``quota`` of each query's.
+    tie = np.flatnonzero(key == cut_key)
+    tie_q = queries[tie]
+    tie_rank = np.arange(tie.size) - np.searchsorted(tie_q, tie_q)
+    keep[tie[tie_rank < quota[tie_q]]] = True
+    return np.flatnonzero(keep)
+
+
 class BatchExecutor:
     """Serves a batch of queries concurrently against one device."""
 
@@ -293,45 +338,57 @@ class BatchExecutor:
     def __init__(self, engine: "InStorageAnnsEngine") -> None:
         self.engine = engine
 
-    # ------------------------------------------------------- schedule layer
+    # ------------------------------------------------------- scan kernel
 
-    def _serve_scan_phase(
+    def _scan_phase(
         self,
         region: RegionInfo,
         tasks: _ScanTasks,
         coarse: bool,
         code_bytes: int,
         oob_record_bytes: int,
-        code_rows: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, List["PageScanHit"]]:
-        """Schedule a phase's page demands and drain them page-major.
+        ctxs: Sequence[PlanContext],
+        ttls: Sequence[TemporalTopList],
+        costs: Sequence[PhaseCost],
+        entry_bytes: int,
+        select_k: Sequence[int],
+        stats: BatchStats,
+        scheduled_senses: Dict[str, Dict[int, int]],
+    ) -> None:
+        """One scan phase as one segmented kernel over all (task, slot) rows.
 
-        The schedule is computed directly on the task arrays (the same
-        :func:`~repro.core.plan.schedule_order` /
-        :func:`~repro.core.plan.schedule_senses` primitives that
-        ``build_page_schedule`` wraps for object-holding callers); each
-        maximal same-page run senses at most once and the array kernel
-        extracts every interested query's window from the latched data.
-        ``code_rows`` is the batch's stacked query-code matrix, so a run's
-        codes are one row gather.  Returns ``(sensed, planes, hits)`` with
-        ``hits`` indexed like ``tasks``, ready for per-query replay.
+        The schedule is computed on the task arrays
+        (:func:`~repro.core.plan.schedule_order` /
+        :func:`~repro.core.plan.schedule_senses`); :meth:`_stack_runs`
+        senses the scheduled runs and stacks each run's latched bytes --
+        or, for a cache hit, the mirrored bytes: the cache is just another
+        byte source, billed as DRAM instead of a sense.  Everything else
+        is a few array calls over every window slot of the phase: XOR
+        with the row's query code and popcount (the fail-bit count), the
+        strict-below threshold, the OOB linkage decode with the
+        metadata-tag drop, and one segmented top-k for every query's TTL
+        (:func:`final_ttl_rows`).
+
+        Per-query accounting is replayed from integer counts in each
+        query's scan order, so every query is billed exactly as it would
+        be alone (:meth:`_bill_scan`).
         """
         engine = self.engine
         n_tasks = len(tasks)
         if n_tasks == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return np.empty(0, dtype=bool), empty, []
-        pages = tasks.pages
-        order = schedule_order(pages, engine.flags.schedule_optimization)
+            return
+        order = schedule_order(tasks.pages, engine.flags.schedule_optimization)
         if order is None:
             order = np.arange(n_tasks)
-        pages_o = pages[order]
+        pages_o = tasks.pages[order]
+        unique_pages = np.unique(pages_o).tolist()
+        located = dict(zip(unique_pages, engine._locate_pages(region, unique_pages)))
 
         def locate_plane(page_offset: int) -> int:
-            return engine._locate(region, page_offset)[1]
+            return located[page_offset][1]
 
         cache = engine.page_cache
-        entry_of: Dict[int, object] = {}
+        entry_of: Dict[int, CacheEntry] = {}
         if cache is not None:
             # One residency snapshot per unique page: pages admitted while
             # this phase drains don't retroactively serve it (the schedule
@@ -348,83 +405,234 @@ class BatchExecutor:
             )
         else:
             sensed, planes = schedule_senses(pages_o, locate_plane)
-
+        self._record_schedule(
+            n_tasks, sensed, planes, "coarse" if coarse else "fine",
+            stats, scheduled_senses,
+        )
         starts = np.flatnonzero(np.r_[True, pages_o[1:] != pages_o[:-1]])
-        ends = np.r_[starts[1:], n_tasks]
-        q_of = tasks.queries
-        filters = tasks.filters
-        hits: List[Optional["PageScanHit"]] = [None] * n_tasks
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            rows = order[s:e]
-            qrows = q_of[rows]
-            page_offset = int(pages_o[s])
-            entry = entry_of.get(page_offset)
-            if entry is not None:
-                # Mirror-served run: the scan kernel math runs on the golden
-                # DRAM bytes; no sense, no latch occupancy.
-                run_hits = engine.scan_page_cached(
-                    region,
-                    page_offset,
-                    entry,
-                    code_rows[qrows],
-                    tasks.lo[rows],
-                    tasks.hi[rows],
-                    [tasks.threshold] * (e - s),
-                    [filters[qi] for qi in qrows],
-                    coarse,
-                    code_bytes,
-                    oob_record_bytes,
-                )
-            else:
-                run_hits = engine.scan_page_run(
-                    region,
-                    page_offset,
-                    code_rows[qrows],
-                    tasks.lo[rows],
-                    tasks.hi[rows],
-                    [tasks.threshold] * (e - s),
-                    [filters[qi] for qi in qrows],
-                    coarse,
-                    code_bytes,
-                    oob_record_bytes,
-                    sense=bool(sensed[s]),
-                )
-            for row, hit in zip(rows.tolist(), run_hits):
-                hits[row] = hit
+        n_runs = starts.size
+        run_pages = pages_o[starts]
+        spp = region.slots_per_page
+        page_stack, oob_stack, run_nbytes = self._stack_runs(
+            [located[page] for page in run_pages.tolist()],
+            sensed[starts].tolist(),
+            [entry_of.get(page) for page in run_pages.tolist()],
+            spp * code_bytes,
+            spp * oob_record_bytes,
+        )
+
+        # Window rows: every (task, slot) pair, in task (= arrival) order;
+        # row r of task t reads code slot lo[t] + (r - first_row[t]) of
+        # run run_of[t], i.e. stacked code code_of_row[r].
+        run_of = np.empty(n_tasks, dtype=np.int64)
+        run_of[order] = np.repeat(np.arange(n_runs), np.diff(np.r_[starts, n_tasks]))
+        n_segments = np.clip(region.n_slots - run_pages * spp, 0, spp)
+        lo = np.maximum(tasks.lo, 0)
+        hi = np.minimum(tasks.hi, n_segments[run_of] - 1)
+        n_valid = np.maximum(hi - lo + 1, 0)
+        first_row = np.cumsum(n_valid) - n_valid
+        row_task = np.repeat(np.arange(n_tasks), n_valid)
+        code_of_row = np.arange(row_task.size) + np.repeat(
+            run_of * spp + lo - first_row, n_valid
+        )
+
+        # XOR-popcount on the widest word dividing a code.
+        word = next(f"<u{w}" for w in (8, 4, 2, 1) if code_bytes % w == 0)
+        query_words = np.ascontiguousarray(
+            np.stack([ctx.query_code for ctx in ctxs]), dtype=np.uint8
+        ).view(word)
+        dists = np.bitwise_count(
+            page_stack.view(word).reshape(n_runs * spp, -1).take(code_of_row, axis=0)
+            ^ np.repeat(query_words.take(tasks.queries, axis=0), n_valid, axis=0)
+        ).sum(axis=1, dtype=np.int64)
+        if tasks.threshold is not None:
+            rows = np.flatnonzero(dists < tasks.threshold)
+        else:
+            rows = np.arange(row_task.size)
+        n_kept = np.bincount(row_task[rows], minlength=n_tasks)
+
+        records = oob_stack.reshape(n_runs * spp, oob_record_bytes)
+
+        def linkage(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            """OOB linkage words (DADR, RADR[, META]) and metadata tags."""
+            words = records.take(codes, axis=0).view("<u4")
+            if words.shape[1] >= 3:
+                return words, words[:, 2].astype(np.int64)
+            return words, np.full(codes.size, -1, dtype=np.int64)
+
+        has_filter = np.array([f is not None for f in tasks.filters]) & (not coarse)
+        if has_filter.any():
+            # The in-die tag sweep drops mismatches before RD_TTL.
+            wanted = np.array([-1 if f is None else f for f in tasks.filters])
+            q = tasks.queries[row_task[rows]]
+            metas = linkage(code_of_row[rows])[1]
+            rows = rows[~has_filter[q] | (metas == wanted[q])]
+        survivor_task = row_task[rows]
+        n_surv = np.bincount(survivor_task, minlength=n_tasks)
+
+        # The dies' command traces and latch counters, per die: the senses,
+        # then the latched (not cache-served) windows' extractions.
+        task_plane = np.empty_like(planes)
+        task_plane[order] = planes
+        latch = run_nbytes[run_of] == 0
+        pass_fail = (has_filter[tasks.queries] & (n_kept > 0)).astype(np.int64)
+        if tasks.threshold is not None:
+            pass_fail += n_valid > 0
+        ppd = engine.geometry.planes_per_die
+        n_dies = engine.geometry.total_planes // ppd
+        per_die = [np.bincount(planes[sensed] // ppd, minlength=n_dies)] + [
+            np.bincount(
+                task_plane[latch] // ppd, weights=w[latch], minlength=n_dies
+            ).astype(np.int64)
+            for w in (np.ones(n_tasks), pass_fail, n_surv)
+        ]
+        for die in np.flatnonzero(per_die[1]).tolist():
+            engine._die_interfaces[die].scan_commands(
+                *(int(counts[die]) for counts in per_die)
+            )
+        moved = int(n_surv[latch].sum()) * entry_bytes
+        if moved:
+            engine.ssd.counters.add("channel_bytes", moved)
+
+        # Per-query billing and TTL replay, then every TTL's final rows.
+        located_tasks = [located[page] for page in tasks.pages.tolist()]
+        kept_from = self._bill_scan(
+            tasks, located_tasks, run_nbytes[run_of], n_valid, n_surv,
+            ctxs, ttls, costs, entry_bytes, select_k,
+        )
+        survivor_query = tasks.queries[survivor_task]
+        picked = final_ttl_rows(
+            survivor_query, survivor_task, dists[rows], kept_from,
+            np.asarray(select_k, dtype=np.int64),
+        )
+        code = code_of_row[rows[picked]]
+        columns = dict(
+            dists=dists[rows[picked]],
+            embs=page_stack.reshape(n_runs * spp, code_bytes).take(code, axis=0),
+            eadrs=run_pages[code // spp] * spp + code % spp,
+        )
+        if coarse:
+            columns["tags"] = records.take(code, axis=0)[:, 0]
+        else:
+            words, columns["metas"] = linkage(code)
+            columns["dadrs"] = words[:, 0]
+            columns["radrs"] = words[:, 1]
+        held = TtlBlock(**columns)
+        bounds = np.searchsorted(
+            survivor_query[picked], np.arange(len(ctxs) + 1)
+        ).tolist()
+        for qi in np.unique(tasks.queries).tolist():
+            ttls[qi].install(held.take(slice(bounds[qi], bounds[qi + 1])))
+
         if cache is not None:
             kind = "centroid" if coarse else "cluster"
-            for page_offset in np.unique(pages_o).tolist():
-                if int(page_offset) not in entry_of:
-                    engine._admit_page(region, int(page_offset), kind)
-        return sensed, planes, hits
+            for page_offset in unique_pages:
+                if page_offset not in entry_of:
+                    engine._admit_page(region, page_offset, kind)
 
-    @staticmethod
-    def _replay(
-        engine: "InStorageAnnsEngine",
+    def _stack_runs(
+        self,
+        run_locs: Sequence[Tuple[object, int, int, int]],
+        run_sense: Sequence[bool],
+        run_entries: Sequence[Optional[CacheEntry]],
+        code_width: int,
+        oob_width: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The page loop: each scheduled run's bytes, stacked.
+
+        A cache hit's bytes are its mirror.  Every other run reads its
+        plane's sensing latch: each plane senses its runs in schedule
+        order (error draws and latches are per plane, so this is the
+        page-major sense sequence), and a run whose page is still latched
+        reads what its plane's previous sense left.  Returns the stacked
+        codes, the stacked OOB records and each run's mirror size (0 for a
+        latched run).
+        """
+        n_runs = len(run_locs)
+        sources: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n_runs
+        run_nbytes = np.zeros(n_runs, dtype=np.int64)
+        by_plane: Dict[int, List[int]] = {}
+        for run, (loc, entry) in enumerate(zip(run_locs, run_entries)):
+            if entry is None:
+                by_plane.setdefault(loc[1], []).append(run)
+            else:
+                sources[run] = (entry.data, entry.oob)
+                run_nbytes[run] = entry.nbytes
+        for plane_index, runs in by_plane.items():
+            fresh = [run_locs[run][0] for run in runs if run_sense[run]]
+            latched = iter(self.engine._planes[plane_index].sense_pages(
+                [ppa.block for ppa in fresh], [ppa.page for ppa in fresh]
+            ))
+            source = None  # a plane's first run always senses
+            for run in runs:
+                if run_sense[run]:
+                    source = next(latched)
+                sources[run] = source
+        page_stack = np.concatenate([data[:code_width] for data, _ in sources])
+        oob_stack = np.concatenate([oob[:oob_width] for _, oob in sources])
+        return (
+            page_stack.reshape(n_runs, code_width),
+            oob_stack.reshape(n_runs, oob_width),
+            run_nbytes,
+        )
+
+    def _bill_scan(
+        self,
         tasks: _ScanTasks,
-        hits: Sequence["PageScanHit"],
+        located_tasks: Sequence[Tuple[object, int, int, int]],
+        task_nbytes: np.ndarray,
+        n_valid: np.ndarray,
+        n_surv: np.ndarray,
+        ctxs: Sequence[PlanContext],
         ttls: Sequence[TemporalTopList],
         costs: Sequence[PhaseCost],
-        ctxs: Sequence[PlanContext],
         entry_bytes: int,
         select_k: Sequence[int],
-    ) -> None:
-        """Replay extracted hits per query, in each query's original order.
+    ) -> np.ndarray:
+        """Replay a scan phase's per-query accounting from integer counts.
 
-        Task rows were appended query by query in scan order, so walking
-        them by ascending index within each query reproduces the exact TTL
-        append / compact interleaving of a batch of one -- the
-        order-preserving replay that keeps batching bit-identical.
+        Task rows are query-major in scan order, so walking each query's
+        rows bills it exactly as a batch of one: a cache-served window
+        (``task_nbytes`` > 0) its DRAM stream, a latched window its page
+        visit plus its survivors' channel bytes.  The TTL's per-page
+        compaction is then replayed on the survivor counts
+        (:meth:`TemporalTopList.replay`), each quickselect charged to the
+        core.  Returns, per query, the first task row after its last
+        compaction (rows before it keep only their top ``select_k``).
         """
-        for index, qi in enumerate(tasks.queries.tolist()):
-            engine.absorb_scan_hit(
-                hits[index],
-                ttls[qi],
-                costs[qi],
-                ctxs[qi].stats,
-                entry_bytes,
-                select_k[qi],
-            )
+        engine = self.engine
+        core = engine.ssd.cores.reis_core
+        n_queries = len(ctxs)
+        present, first_task = np.unique(tasks.queries, return_index=True)
+        ends = np.r_[first_task[1:], len(tasks)]
+        sensed, scanned, moved = np.add.reduceat(
+            np.stack([task_nbytes == 0, n_valid, n_surv]), first_task, axis=1
+        ).tolist()
+        kept_from = np.zeros(n_queries, dtype=np.int64)
+        nbytes_l = task_nbytes.tolist()
+        surv_l = n_surv.tolist()
+        for i, (qi, first, end) in enumerate(
+            zip(present.tolist(), first_task.tolist(), ends.tolist())
+        ):
+            cost, stats = costs[qi], ctxs[qi].stats
+            for t in range(first, end):
+                _ppa, plane_index, channel, page_id = located_tasks[t]
+                if nbytes_l[t]:
+                    engine._bill_dram_hit(cost, stats, nbytes_l[t], key=page_id)
+                    continue
+                cost.add_page(plane_index, page_id=page_id)
+                if surv_l[t]:
+                    cost.add_channel_bytes(channel, surv_l[t] * entry_bytes)
+            stats.pages_read += sensed[i]
+            stats.entries_scanned += scanned[i]
+            stats.entries_filtered += scanned[i] - moved[i]
+            stats.entries_transferred += moved[i]
+            k = select_k[qi]
+            processed, kept = ttls[qi].replay(surv_l[first:end], k)
+            for n in processed:
+                cost.core_seconds += core.quickselect(n, k)
+            kept_from[qi] = first + kept
+        return kept_from
 
     # --------------------------------------------------------- phase drivers
 
@@ -464,16 +672,10 @@ class BatchExecutor:
             threshold=None,
             filters=[None] * n_queries,
         )
-        sensed, planes, hits = self._serve_scan_phase(
-            region, tasks, coarse=True,
-            code_bytes=db.code_bytes,
-            oob_record_bytes=engine.params.tag_bytes,
-            code_rows=np.stack([ctx.query_code for ctx in ctxs]),
+        self._scan_phase(
+            region, tasks, True, db.code_bytes, engine.params.tag_bytes,
+            ctxs, ttls, costs, entry_bytes, nprobes, stats, scheduled_senses,
         )
-        self._record_schedule(
-            len(tasks), sensed, planes, "coarse", stats, scheduled_senses
-        )
-        self._replay(engine, tasks, hits, ttls, costs, ctxs, entry_bytes, nprobes)
         for ctx, cost in zip(ctxs, costs):
             ctx.phase_costs["coarse"] = cost
         return ttls
@@ -555,17 +757,10 @@ class BatchExecutor:
             threshold=threshold,
             filters=[stage.metadata_filter for stage in fine_stages],
         )
-        sensed, planes, hits = self._serve_scan_phase(
-            region, tasks, coarse=False,
-            code_bytes=db.code_bytes,
-            oob_record_bytes=db.oob_record_bytes,
-            code_rows=np.stack([ctx.query_code for ctx in ctxs]),
-        )
-        self._record_schedule(
-            len(tasks), sensed, planes, "fine", stats, scheduled_senses
-        )
-        self._replay(
-            engine, tasks, hits, ttls, costs, ctxs, entry_bytes, shortlist_sizes
+        self._scan_phase(
+            region, tasks, False, db.code_bytes, db.oob_record_bytes,
+            ctxs, ttls, costs, entry_bytes, shortlist_sizes, stats,
+            scheduled_senses,
         )
         return _FineScanState(
             threshold=threshold,
@@ -609,18 +804,10 @@ class BatchExecutor:
             threshold=None,
             filters=[stage.metadata_filter for stage in state.fine_stages],
         )
-        sensed, planes, retry_hits = self._serve_scan_phase(
-            region, retry_tasks, coarse=False,
-            code_bytes=db.code_bytes,
-            oob_record_bytes=db.oob_record_bytes,
-            code_rows=np.stack([ctx.query_code for ctx in ctxs]),
-        )
-        self._record_schedule(
-            len(retry_tasks), sensed, planes, "fine", stats, scheduled_senses
-        )
-        self._replay(
-            engine, retry_tasks, retry_hits, state.ttls, state.costs, ctxs,
-            state.entry_bytes, state.shortlist_sizes,
+        self._scan_phase(
+            region, retry_tasks, False, db.code_bytes, db.oob_record_bytes,
+            ctxs, state.ttls, state.costs, state.entry_bytes,
+            state.shortlist_sizes, stats, scheduled_senses,
         )
 
     def _fine_finish(

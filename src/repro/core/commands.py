@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.nand.die import Die
-from repro.core.registry import TtlBlock
 
 
 class FlashOp(Enum):
@@ -65,116 +64,41 @@ class DieCommandInterface:
 
     # Each method implements one Table-2 command.
 
-    def ibc(self, query_code: np.ndarray, multi_plane: bool) -> int:
-        """IBC Q_EMB: broadcast the query into every plane's cache latch."""
-        self.trace.record(FlashOp.IBC)
-        return self.die.broadcast_query(query_code, multi_plane)
-
     def ibc_many(self, query_codes: np.ndarray, multi_plane: bool) -> int:
         """IBC Q_EMB for a back-to-back batch of queries (one per row).
 
-        Command trace and counters match issuing :meth:`ibc` once per row;
-        the latch end state is the last row's broadcast, as it would be.
+        Command trace and counters match issuing IBC once per row; the
+        latch end state is the last row's broadcast, as it would be.
         """
         self.trace.record_many(FlashOp.IBC, len(query_codes))
         return self.die.broadcast_queries(query_codes, multi_plane)
 
-    def read_page(self, plane: int, block: int, page: int) -> Tuple[np.ndarray, np.ndarray]:
-        self.trace.record(FlashOp.READ_PAGE)
-        return self.die.planes[plane].read_page(block, page)
+    def scan_commands(
+        self, senses: int, windows: int, pass_fail: int, moved: int
+    ) -> None:
+        """The commands one scan phase issued to this die.
 
-    def gen_dist_multi(
-        self,
-        plane: int,
-        query_codes: np.ndarray,
-        code_bytes: int,
-        n_segments: int,
-    ) -> np.ndarray:
-        """GEN_DIST for several queries against the one latched page.
-
-        The page is sensed once; for each query the cache latch is reloaded
-        and the XOR + fail-bit-count pair runs again ("one sense, N distance
-        extractions"), so the command stream carries one XOR and one
-        GEN_DIST per query exactly as if each query had visited the page
-        itself.  Returns a ``(n_queries, n_segments)`` distance matrix.
+        ``senses`` READ_PAGEs latched the phase's pages (in schedule
+        order).  Each window is one query's visit to a latched page: the
+        cache latch is reloaded with that query and XOR + GEN_DIST run
+        again ("one sense, N distance extractions"), so every window
+        issues one XOR and one GEN_DIST even when it shares its sense.
+        ``pass_fail`` counts comparator sweeps (the distance threshold on
+        a non-empty window, the Sec. 7.1 metadata-tag sweep on a window
+        with survivors); ``moved`` counts the entries RD_TTL carried to
+        the TTL.  The controller-side scan kernel
+        (:meth:`~repro.core.batch.BatchExecutor._scan_phase`) computes the
+        distances from the latched bytes; this records the commands and
+        latch counters that work stands for.
         """
-        n_queries = len(query_codes)
-        self.trace.record_many(FlashOp.XOR, n_queries)
-        self.trace.record_many(FlashOp.GEN_DIST, n_queries)
-        return self.die.multi_query_distances(
-            plane, query_codes, code_bytes, n_segments
-        )
-
-    def pass_fail_mask(
-        self, plane: int, distances: Sequence[int], threshold: int
-    ) -> np.ndarray:
-        """Distance filtering returning the comparator's pass mask."""
-        self.trace.record(FlashOp.PASS_FAIL)
-        return self.die.planes[plane].filter_distances_mask(distances, threshold)
-
-    def rd_ttl_batch(
-        self,
-        plane: int,
-        slots: np.ndarray,
-        code_bytes: int,
-        dists: np.ndarray,
-        oob_record_bytes: int,
-        coarse: bool,
-        eadr_base: int,
-        metadata_filter: Optional[int] = None,
-    ) -> Tuple[Optional[TtlBlock], int]:
-        """Batched RD_TTL: assemble a columnar TTL block in one sweep.
-
-        Embedding codes are gathered from the sensing latch and OOB linkage
-        records are decoded vectorized; with ``metadata_filter`` the Sec. 7.1
-        tag comparison runs *in the die* (the pass/fail comparator) before
-        any entry moves, so mismatching entries are dropped without an
-        RD_TTL command and never cross the channel.  Returns the surviving
-        rows in ascending slot order (``None`` when nothing survives) plus
-        the in-die-filtered count.
-        """
-        slots = np.asarray(slots, dtype=np.intp)
-        if slots.size == 0:
-            return None, 0
-        oob = self.die.planes[plane].buffer.oob
-        n_filtered = 0
-        if coarse:
-            tags = oob[slots * oob_record_bytes].astype(np.int64)
-            self.trace.record_many(FlashOp.RD_TTL, slots.size)
-            embs = self.die.ttl_codes(plane, slots, code_bytes)
-            block = TtlBlock(
-                dists=dists,
-                embs=embs,
-                eadrs=eadr_base + slots.astype(np.int64),
-                tags=tags,
-            )
-            return block, 0
-        rows = oob.size // oob_record_bytes
-        records = oob[: rows * oob_record_bytes].reshape(rows, oob_record_bytes)
-        words = np.ascontiguousarray(records[slots]).view("<u4")
-        if words.shape[1] >= 3:
-            metas = words[:, 2].astype(np.int64)
-        else:
-            metas = np.full(slots.size, -1, dtype=np.int64)
-        if metadata_filter is not None:
-            # The tag sweep reuses the pass/fail comparator (Sec. 7.1), so
-            # it costs one PASS_FAIL command per window like the distance
-            # filter -- mismatches are dropped before any RD_TTL moves.
-            self.trace.record(FlashOp.PASS_FAIL)
-            keep = self.die.planes[plane].filter_tags_mask(metas, metadata_filter)
-            n_filtered = int(slots.size - keep.sum())
-            slots, dists = slots[keep], dists[keep]
-            words, metas = words[keep], metas[keep]
-            if slots.size == 0:
-                return None, n_filtered
-        self.trace.record_many(FlashOp.RD_TTL, slots.size)
-        embs = self.die.ttl_codes(plane, slots, code_bytes)
-        block = TtlBlock(
-            dists=dists,
-            embs=embs,
-            eadrs=eadr_base + slots.astype(np.int64),
-            dadrs=words[:, 0].astype(np.int64),
-            radrs=words[:, 1].astype(np.int64),
-            metas=metas,
-        )
-        return block, n_filtered
+        self.trace.record_many(FlashOp.READ_PAGE, senses)
+        self.trace.record_many(FlashOp.XOR, windows)
+        self.trace.record_many(FlashOp.GEN_DIST, windows)
+        self.trace.record_many(FlashOp.PASS_FAIL, pass_fail)
+        self.trace.record_many(FlashOp.RD_TTL, moved)
+        counters = self.die.counters
+        if windows:
+            counters.add("latch_xors", windows)
+            counters.add("bit_counts", windows)
+        if pass_fail:
+            counters.add("pass_fail_checks", pass_fail)

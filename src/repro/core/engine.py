@@ -35,7 +35,6 @@ query is a batch of one (:meth:`InStorageAnnsEngine.search`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,36 +48,14 @@ from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import ReisQueryResult, SearchStats
 from repro.core.registry import TemporalTopList, TtlBlock
 from repro.nand.geometry import PhysicalPageAddress
-from repro.nand.latches import _POPCOUNT_TABLE
 from repro.rag.documents import DocumentChunk
 from repro.ssd.device import SimulatedSSD
 
 __all__ = [
     "InStorageAnnsEngine",
     "ReisQueryResult",
-    "PageScanHit",
     "SearchStats",
 ]
-
-
-@dataclass
-class PageScanHit:
-    """What one window extracted from one page (steps 3-6 for one query).
-
-    Surviving rows stay columnar (one :class:`TtlBlock` per hit) all the
-    way into the TTL.
-    """
-
-    plane_index: int
-    channel: int
-    page_id: int
-    n_valid: int
-    n_filtered: int  # dropped in-die: distance threshold + metadata tag
-    block: Optional[TtlBlock] = None
-    # Served from the DRAM cache mirror: no sense, no latch work, no
-    # channel crossing -- the visit bills ``cache_bytes`` of DRAM instead.
-    from_cache: bool = False
-    cache_bytes: int = 0
 
 
 class InStorageAnnsEngine:
@@ -104,10 +81,14 @@ class InStorageAnnsEngine:
                 self._die_interfaces[die_index] = DieCommandInterface(
                     ssd.array.die_of_plane(plane_index)
                 )
-        # Page-translation memo: translate() is a pure function of the
-        # (frozen, value-hashable) CoarseRegion, the page offset, and this
-        # engine's fixed geometry, so the arithmetic runs once per page.
-        self._locate_cache: Dict[Tuple, Tuple[PhysicalPageAddress, int, int, int]] = {}
+        self._planes = [
+            ssd.array.plane_by_index(i) for i in range(self.geometry.total_planes)
+        ]
+        # Page-translation memo, one table per region: translate() is a
+        # pure function of the (frozen, value-hashable) CoarseRegion, the
+        # page offset and this engine's fixed geometry, so the arithmetic
+        # runs once per page.
+        self._locate_cache: Dict[object, Dict[int, Tuple[PhysicalPageAddress, int, int, int]]] = {}
 
     # ------------------------------------------------------------ utilities
 
@@ -118,14 +99,26 @@ class InStorageAnnsEngine:
         self, region: RegionInfo, page_offset: int
     ) -> Tuple[PhysicalPageAddress, int, int, int]:
         """(physical address, global plane index, channel, linear page id)."""
-        key = (region.region, page_offset)
-        cached = self._locate_cache.get(key)
-        if cached is None:
-            ppa = region.region.translate(page_offset, self.geometry)
-            plane_index = ppa.plane_linear(self.geometry)
-            cached = (ppa, plane_index, ppa.channel, ppa.to_linear(self.geometry))
-            self._locate_cache[key] = cached
-        return cached
+        return self._locate_pages(region, (page_offset,))[0]
+
+    def _locate_pages(
+        self, region: RegionInfo, page_offsets: Sequence[int]
+    ) -> List[Tuple[PhysicalPageAddress, int, int, int]]:
+        """:meth:`_locate` for many pages of one region."""
+        table = self._locate_cache.setdefault(region.region, {})
+        located = []
+        for page_offset in page_offsets:
+            cached = table.get(page_offset)
+            if cached is None:
+                ppa = region.region.translate(page_offset, self.geometry)
+                cached = table[page_offset] = (
+                    ppa,
+                    ppa.plane_linear(self.geometry),
+                    ppa.channel,
+                    ppa.to_linear(self.geometry),
+                )
+            located.append(cached)
+        return located
 
     # ------------------------------------------------------ DRAM page cache
 
@@ -194,283 +187,6 @@ class InStorageAnnsEngine:
         return ibc_time(
             self.geometry, self.timing, query_codes.shape[1], self.flags
         )
-
-    # ------------------------------------------------------------ scan core
-
-    def scan_page_run(
-        self,
-        region: RegionInfo,
-        page_offset: int,
-        codes: np.ndarray,
-        los: Sequence[int],
-        his: Sequence[int],
-        thresholds: Sequence[Optional[int]],
-        metadata_filters: Sequence[Optional[int]],
-        coarse: bool,
-        code_bytes: int,
-        oob_record_bytes: int,
-        sense: bool = True,
-    ) -> List[PageScanHit]:
-        """Steps 2-6 on ONE page for MANY queries: the vectorized scan kernel.
-
-        Senses the page (unless it is already latched in its plane's
-        buffer), then for every window runs the in-plane extraction chain --
-        cache-latch reload + XOR + GEN_DIST, the pass/fail distance
-        threshold, the in-die metadata-tag comparison -- and assembles the
-        surviving TTL entries in one vectorized sweep per window.  The
-        command trace carries one XOR/GEN_DIST (and PASS_FAIL where
-        thresholded) per window, exactly the per-visit latch work the cost
-        model bills, but READ_PAGE only when ``sense`` is true: one sense,
-        N distance extractions.
-
-        ``codes`` is a ``(N, code_bytes)`` matrix; the window bounds
-        (slot indices within the page, inclusive, clamped here to the
-        page's valid slots), thresholds and metadata filters are parallel
-        sequences, straight from the batch executor's columnar task arrays.
-        """
-        ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-        plane_in_die = ppa.plane
-        interface = self.die_interface_of_plane(plane_index)
-        if sense:
-            interface.read_page(plane_in_die, ppa.block, ppa.page)
-        n_segments = region.slots_in_page(page_offset)
-        page_first = page_offset * region.slots_per_page
-
-        distances = interface.gen_dist_multi(
-            plane_in_die, codes, code_bytes, n_segments
-        )
-
-        hits: List[PageScanHit] = []
-        for row in range(len(codes)):
-            lo = max(int(los[row]), 0)
-            hi = min(int(his[row]), n_segments - 1)
-            n_valid = hi - lo + 1
-            if n_valid <= 0:
-                hits.append(
-                    PageScanHit(plane_index, channel, page_id, 0, 0)
-                )
-                continue
-            window_dists = distances[row, lo : hi + 1]
-            threshold = thresholds[row]
-            if threshold is not None:
-                mask = interface.pass_fail_mask(
-                    plane_in_die, window_dists, threshold
-                )
-                kept = np.arange(lo, hi + 1, dtype=np.intp)[mask]
-                kept_dists = window_dists[mask]
-                n_dist_filtered = n_valid - kept.size
-            else:
-                kept = np.arange(lo, hi + 1, dtype=np.intp)
-                kept_dists = window_dists
-                n_dist_filtered = 0
-            block, n_meta_filtered = interface.rd_ttl_batch(
-                plane_in_die,
-                kept,
-                code_bytes,
-                kept_dists,
-                oob_record_bytes,
-                coarse=coarse,
-                eadr_base=page_first,
-                metadata_filter=metadata_filters[row],
-            )
-            hits.append(
-                PageScanHit(
-                    plane_index=plane_index,
-                    channel=channel,
-                    page_id=page_id,
-                    n_valid=n_valid,
-                    n_filtered=n_dist_filtered + n_meta_filtered,
-                    block=block,
-                )
-            )
-        return hits
-
-    def scan_page_cached(
-        self,
-        region: RegionInfo,
-        page_offset: int,
-        entry: CacheEntry,
-        codes: np.ndarray,
-        los: Sequence[int],
-        his: Sequence[int],
-        thresholds: Sequence[Optional[int]],
-        metadata_filters: Sequence[Optional[int]],
-        coarse: bool,
-        code_bytes: int,
-        oob_record_bytes: int,
-    ) -> List[PageScanHit]:
-        """The DRAM-mirror twin of :meth:`scan_page_run`: zero NAND work.
-
-        Runs the identical extraction math -- XOR + popcount distances, the
-        strict-below threshold mask, the OOB linkage decode with the
-        before-RD_TTL metadata drop -- against the cached golden
-        ``(data, oob)`` bytes on the *controller*.  Scan regions are
-        ESP-SLC, whose senses latch the golden bytes verbatim, so the
-        results are bit-identical to a fresh sense; but no READ_PAGE /
-        XOR / GEN_DIST / PASS_FAIL / RD_TTL command is issued and no latch
-        or sense counter advances (the billing difference *is* the cache).
-        """
-        _ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-        n_segments = region.slots_in_page(page_offset)
-        page_first = page_offset * region.slots_per_page
-        data = entry.data
-        patterns = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
-        view = data[: code_bytes * n_segments].reshape(1, n_segments, code_bytes)
-        diff = np.bitwise_xor(view, patterns[:, None, :])
-        distances = _POPCOUNT_TABLE[diff].sum(axis=2, dtype=np.int64)
-
-        hits: List[PageScanHit] = []
-        for row in range(len(patterns)):
-            lo = max(int(los[row]), 0)
-            hi = min(int(his[row]), n_segments - 1)
-            n_valid = hi - lo + 1
-            if n_valid <= 0:
-                hits.append(
-                    PageScanHit(
-                        plane_index, channel, page_id, 0, 0,
-                        from_cache=True, cache_bytes=entry.nbytes,
-                    )
-                )
-                continue
-            window_dists = distances[row, lo : hi + 1]
-            threshold = thresholds[row]
-            if threshold is not None:
-                mask = window_dists < threshold
-                kept = np.arange(lo, hi + 1, dtype=np.intp)[mask]
-                kept_dists = window_dists[mask]
-                n_dist_filtered = n_valid - kept.size
-            else:
-                kept = np.arange(lo, hi + 1, dtype=np.intp)
-                kept_dists = window_dists
-                n_dist_filtered = 0
-            block, n_meta_filtered = self._rd_ttl_cached(
-                entry,
-                kept,
-                kept_dists,
-                code_bytes,
-                oob_record_bytes,
-                coarse,
-                page_first,
-                metadata_filters[row],
-            )
-            hits.append(
-                PageScanHit(
-                    plane_index=plane_index,
-                    channel=channel,
-                    page_id=page_id,
-                    n_valid=n_valid,
-                    n_filtered=n_dist_filtered + n_meta_filtered,
-                    block=block,
-                    from_cache=True,
-                    cache_bytes=entry.nbytes,
-                )
-            )
-        return hits
-
-    @staticmethod
-    def _rd_ttl_cached(
-        entry: CacheEntry,
-        slots: np.ndarray,
-        dists: np.ndarray,
-        code_bytes: int,
-        oob_record_bytes: int,
-        coarse: bool,
-        eadr_base: int,
-        metadata_filter: Optional[int],
-    ) -> Tuple[Optional[TtlBlock], int]:
-        """The mirror twin of ``rd_ttl_batch``: same decode, no commands.
-
-        Gathers embedding codes and OOB linkage records from the cached
-        bytes with the exact slot arithmetic the die performs; the fancy
-        gathers materialize fresh arrays, so TTL blocks never alias the
-        mirror.  The metadata equality drop runs before any row is
-        assembled, as the in-die comparator does.
-        """
-        slots = np.asarray(slots, dtype=np.intp)
-        if slots.size == 0:
-            return None, 0
-        data, oob = entry.data, entry.oob
-        n_fit = data.size // code_bytes
-        codes_view = data[: n_fit * code_bytes].reshape(n_fit, code_bytes)
-        if coarse:
-            tags = oob[slots * oob_record_bytes].astype(np.int64)
-            block = TtlBlock(
-                dists=dists,
-                embs=codes_view[slots],
-                eadrs=eadr_base + slots.astype(np.int64),
-                tags=tags,
-            )
-            return block, 0
-        rows = oob.size // oob_record_bytes
-        records = oob[: rows * oob_record_bytes].reshape(rows, oob_record_bytes)
-        words = np.ascontiguousarray(records[slots]).view("<u4")
-        if words.shape[1] >= 3:
-            metas = words[:, 2].astype(np.int64)
-        else:
-            metas = np.full(slots.size, -1, dtype=np.int64)
-        n_filtered = 0
-        if metadata_filter is not None:
-            keep = metas == metadata_filter
-            n_filtered = int(slots.size - keep.sum())
-            slots, dists = slots[keep], dists[keep]
-            words, metas = words[keep], metas[keep]
-            if slots.size == 0:
-                return None, n_filtered
-        block = TtlBlock(
-            dists=dists,
-            embs=codes_view[slots],
-            eadrs=eadr_base + slots.astype(np.int64),
-            dadrs=words[:, 0].astype(np.int64),
-            radrs=words[:, 1].astype(np.int64),
-            metas=metas,
-        )
-        return block, n_filtered
-
-    def absorb_scan_hit(
-        self,
-        hit: PageScanHit,
-        ttl: TemporalTopList,
-        cost: PhaseCost,
-        stats: SearchStats,
-        entry_bytes: int,
-        select_k: int,
-    ) -> None:
-        """Account one window's page visit to a query's cost/stats/TTL.
-
-        This is the per-query half of the scan: the kernel may have served
-        the window from a sense shared with other queries, but the query
-        still pays its visit (latch compute), its channel transfers, and
-        its per-iteration quickselect exactly as it would solo -- which is
-        what keeps solo latency reports identical under batching.
-
-        A cache-served visit replaces the sense/channel charges with its
-        DRAM bill; the TTL mechanics (extend + per-iteration quickselect)
-        are identical either way, which is what keeps cached serving
-        bit-identical to sensing.
-        """
-        if hit.from_cache:
-            self._bill_dram_hit(cost, stats, hit.cache_bytes, key=hit.page_id)
-        else:
-            cost.add_page(hit.plane_index, page_id=hit.page_id)
-            stats.pages_read += 1
-        stats.entries_scanned += hit.n_valid
-        stats.entries_filtered += hit.n_filtered
-        if hit.block is not None and len(hit.block):
-            ttl.extend(hit.block)
-            n = len(hit.block)
-            if not hit.from_cache:
-                cost.add_channel_bytes(hit.channel, n * entry_bytes)
-                self.ssd.counters.add("channel_bytes", n * entry_bytes)
-            stats.entries_transferred += n
-        # Per-iteration quickselect (Sec. 4.3.1): after each page the
-        # embedded core trims the TTL back to the running top list,
-        # bounding its DRAM footprint.  With pipelining this overlaps
-        # the next page read (handled by compose_phase).
-        if len(ttl) > 2 * select_k:
-            processed = ttl.compact(select_k)
-            cost.core_seconds += self.ssd.cores.reis_core.quickselect(
-                processed, select_k
-            )
 
     # --------------------------------------------------------- search steps
 

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -322,11 +322,12 @@ class TtlBlock:
 class TemporalTopList:
     """An append + select-k staging list in controller DRAM.
 
-    Rows live in columnar :class:`TtlBlock` chunks (one per absorbed page
-    visit) and only the final selection materializes :class:`TtlEntry`
-    objects -- the batch-serving hot path streams thousands of candidates
-    through here per query, so per-row Python objects are reserved for the
-    k survivors the rest of the pipeline actually touches.
+    Rows live in columnar :class:`TtlBlock` chunks, always in arrival
+    order (a compaction drops rows, it never reorders them), and only the
+    final selection materializes :class:`TtlEntry` objects.  The scan
+    kernel fills a list in one step (:meth:`replay` + :meth:`install`);
+    :meth:`extend` / :meth:`compact` are the row-by-row semantics that
+    pair reproduces.
     """
 
     def __init__(
@@ -414,7 +415,12 @@ class TemporalTopList:
         block = self._consolidate()
         if k <= 0 or block is None:
             return None
-        idx = np.argsort(block.dists, kind="stable")[: min(k, len(block))]
+        dists = block.dists
+        if dists.min() >= 0 and dists.max() <= np.iinfo(np.uint16).max:
+            # Hamming distances fit 16 bits, where the stable sort is a
+            # radix sort.
+            dists = dists.astype(np.uint16)
+        idx = np.argsort(dists, kind="stable")[: min(k, len(block))]
         return block.take(idx)
 
     def select_smallest(self, k: int) -> List[TtlEntry]:
@@ -430,14 +436,58 @@ class TemporalTopList:
         of Sec. 4.3.1 that bounds the TTL's DRAM footprint).
 
         Returns the number of entries the quickselect processed, so the
-        caller can charge the embedded core.
+        caller can charge the embedded core.  Survivors keep their arrival
+        order.
         """
         processed = self._n
         if processed > k:
-            block = self.select_block(k)
-            self._blocks = [block] if block is not None else []
-            self._n = len(block) if block is not None else 0
+            block = self._consolidate()
+            assert block is not None
+            nearest = np.argsort(block.dists, kind="stable")[: max(k, 0)]
+            kept = block.take(np.sort(nearest))
+            self._blocks = [kept] if len(kept) else []
+            self._n = len(kept)
         return processed
+
+    def replay(self, sizes: Sequence[int], k: int) -> Tuple[List[int], int]:
+        """Count-only twin of a scan's absorb loop on an empty list.
+
+        Equivalent, for ``len``, ``peak_entries`` and the DRAM arena, to
+        extending by one block of each size in turn, each followed by the
+        per-page rule ``len > 2k -> compact(k)``.  Returns the size every
+        compaction processed and ``kept_from``, the number of blocks up to
+        the last compaction: the rows are then the ``k`` nearest of those
+        blocks' rows and every later row, in arrival order, which the
+        caller supplies through :meth:`install`.
+        """
+        if self._n:
+            raise ValueError("replay starts from an empty list")
+        n = 0
+        peak = self.peak_entries
+        processed: List[int] = []
+        kept_from = 0
+        for index, size in enumerate(sizes):
+            n += size
+            if n > peak:
+                peak = n
+            if n > 2 * k:
+                processed.append(n)
+                n = max(k, 0)
+                kept_from = index + 1
+        self._n = n
+        if peak > self.peak_entries:
+            self.peak_entries = peak
+            if self._dram is not None:
+                self._grow_region()
+        return processed, kept_from
+
+    def install(self, block: TtlBlock) -> None:
+        """Set the rows a :meth:`replay` accounted for (arrival order)."""
+        if len(block) != self._n:
+            raise ValueError(
+                f"{len(block)} rows installed, {self._n} replayed"
+            )
+        self._blocks = [block] if len(block) else []
 
     def clear(self) -> None:
         self._blocks.clear()

@@ -30,6 +30,10 @@ class BitErrorModel:
         self._rng = make_rng("bit-errors", seed)
         self.enabled = enabled
 
+    def error_free(self, mode: CellMode) -> bool:
+        """Whether a read in ``mode`` can flip no bit (and draws nothing)."""
+        return not self.enabled or reliability(mode).raw_ber <= 0.0
+
     def corrupt(self, data: np.ndarray, mode: CellMode) -> np.ndarray:
         """Return ``data`` with bit flips sampled at the mode's raw BER.
 
@@ -47,11 +51,10 @@ class BitErrorModel:
         it can seed a sparse ECC pass without a full-page comparison.  An
         empty array guarantees the returned page equals ``data``.
         """
-        profile = reliability(mode)
-        if not self.enabled or profile.raw_ber <= 0.0:
+        if self.error_free(mode):
             return data.copy(), _NO_FLIPS
         n_bits = data.size * 8
-        n_errors = self._rng.binomial(n_bits, profile.raw_ber)
+        n_errors = self._rng.binomial(n_bits, reliability(mode).raw_ber)
         if n_errors == 0:
             return data.copy(), _NO_FLIPS
         corrupted = data.copy()

@@ -53,11 +53,12 @@ class PageBuffer:
         return getattr(self, name)
 
     def load_sensing(self, data: np.ndarray, oob: np.ndarray) -> None:
-        """Model a page sense: page data + OOB land in the sensing latch."""
-        self.sensing[:] = 0
+        """Model a page sense: page data + OOB land in the sensing latch
+        (zero-padded when shorter than the latch)."""
         self.sensing[: data.size] = data
-        self.oob[:] = 0
+        self.sensing[data.size :] = 0
         self.oob[: oob.size] = oob
+        self.oob[oob.size :] = 0
 
     def load_cache(self, data: np.ndarray) -> None:
         """Load externally-supplied data (e.g. an IBC broadcast) into CL."""
@@ -163,21 +164,3 @@ class PassFailChecker:
             return []
         return np.flatnonzero(values < threshold).tolist()
 
-    def mask_below(self, values: Sequence[int], threshold: int) -> np.ndarray:
-        """Boolean pass mask (``value < threshold``), one comparator sweep.
-
-        Same comparison as :meth:`filter_below`, returned as a mask so
-        vectorized callers can combine it with other per-slot masks without
-        materializing index lists.
-        """
-        self.invocations += 1
-        return np.asarray(values) < threshold
-
-    def mask_equal(self, values: Sequence[int], target: int) -> np.ndarray:
-        """Boolean equality mask, one comparator sweep.
-
-        The Sec. 7.1 metadata-tag comparison reuses the same comparator
-        hardware as the distance filter, so it is instrumented identically.
-        """
-        self.invocations += 1
-        return np.asarray(values) == target

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nand.cell import CellMode, reliability
-from repro.nand.errors import BitErrorModel
+from repro.nand.errors import _NO_FLIPS, BitErrorModel
 from repro.nand.latches import FailBitCounter, PageBuffer, PassFailChecker
 from repro.nand.page import FlashBlock, PageState
 from repro.sim.stats import CounterSet
@@ -60,16 +60,49 @@ class Plane:
         The OOB area is modeled error-free for simplicity (on real chips the
         OOB carries its own ECC parity).
         """
-        flash_block = self.blocks[block]
-        flash_page = flash_block.pages[page]
-        golden_data, golden_oob = flash_page.raw_view()
-        data, self.last_flipped_bytes = self._errors.corrupt_traced(
-            golden_data, flash_block.mode
-        )
-        self.buffer.load_sensing(data, golden_oob)
-        self.counters.add("page_reads")
-        self.counters.add(_READ_COUNTER_KEYS[flash_block.mode])
-        return data, golden_oob
+        golden = self.blocks[block].pages[page].raw_view()[0]
+        data, oob = self.sense_pages((block,), (page,))[0]
+        return (data.copy() if data is golden else data), oob
+
+    def sense_pages(
+        self, blocks: Sequence[int], pages: Sequence[int]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Sense pages back to back, as :meth:`read_page` once per page.
+
+        Same error draws, counters and final latch state as those calls;
+        each ``(data, oob)`` is what the latch held after that sense.  An
+        error-free sense (ESP-SLC) hands back the stored page itself, so
+        these are read-only: a caller stacking many senses copies each
+        page once instead of twice.
+        """
+        sensed: List[Tuple[np.ndarray, np.ndarray]] = []
+        flips = self.last_flipped_bytes
+        # (error-free?, read counter) per block, looked up once: block
+        # modes are enums, slow to hash on every sense.
+        block_info: Dict[int, Tuple[bool, str]] = {}
+        reads: Dict[str, int] = {}
+        for block, page in zip(blocks, pages):
+            flash_block = self.blocks[block]
+            info = block_info.get(block)
+            if info is None:
+                mode = flash_block.mode
+                info = block_info[block] = (
+                    self._errors.error_free(mode), _READ_COUNTER_KEYS[mode]
+                )
+            data, oob = flash_block.pages[page].raw_view()
+            if info[0]:
+                flips = _NO_FLIPS
+            else:
+                data, flips = self._errors.corrupt_traced(data, flash_block.mode)
+            sensed.append((data, oob))
+            reads[info[1]] = reads.get(info[1], 0) + 1
+        if sensed:
+            self.buffer.load_sensing(*sensed[-1])
+            self.last_flipped_bytes = flips
+            self.counters.add("page_reads", len(sensed))
+            for key, n in reads.items():
+                self.counters.add(key, n)
+        return sensed
 
     def golden_page(self, block: int, page: int) -> Tuple[np.ndarray, np.ndarray]:
         """Error-free page contents (for ECC reference and tests)."""
@@ -125,42 +158,3 @@ class Plane:
         self.counters.add("bit_counts")
         return self.fail_bit_counter.count_segments_array(segment_bytes, n_segments)
 
-    def filter_distances_mask(self, distances, threshold: int) -> np.ndarray:
-        """Pass/fail check returning the boolean pass mask."""
-        self.counters.add("pass_fail_checks")
-        return self.pass_fail_checker.mask_below(distances, threshold)
-
-    def filter_tags_mask(self, tags, tag: int) -> np.ndarray:
-        """Metadata-tag equality sweep on the pass/fail comparator."""
-        self.counters.add("pass_fail_checks")
-        return self.pass_fail_checker.mask_equal(tags, tag)
-
-    def multi_query_distances(
-        self, query_codes: np.ndarray, segment_bytes: int, n_segments: int
-    ) -> np.ndarray:
-        """Per-embedding Hamming distances for several queries from ONE sense.
-
-        The page stays latched in SL; for each of the ``Q`` query codes the
-        cache latch is reloaded, XOR-ed against SL and swept by the fail-bit
-        counter, so one physical sense yields a ``(Q, n_segments)`` distance
-        matrix.  Row ``q`` is bit-identical to what :meth:`segment_distances`
-        returns after broadcasting query ``q`` alone.
-        """
-        query_codes = np.atleast_2d(np.asarray(query_codes, dtype=np.uint8))
-        n_queries = len(query_codes)
-        self.counters.add("latch_xors", n_queries)
-        self.counters.add("bit_counts", n_queries)
-        return self.fail_bit_counter.count_xor_segments(
-            query_codes, segment_bytes, n_segments, latch="sensing"
-        )
-
-    def ttl_codes(self, slots: np.ndarray, code_bytes: int) -> np.ndarray:
-        """Extract the latched embedding codes of many slots in one sweep.
-
-        Returns an ``(len(slots), code_bytes)`` uint8 matrix gathered from
-        the sensing latch -- the data-movement half of a batched RD_TTL.
-        """
-        slots = np.asarray(slots, dtype=np.intp)
-        n_fit = self.page_bytes // code_bytes
-        view = self.buffer.sensing[: n_fit * code_bytes].reshape(n_fit, code_bytes)
-        return view[slots]
