@@ -286,16 +286,12 @@ class TtlBlock:
             meta=int(self.metas[row]),
         )
 
-    def take(self, rows: np.ndarray) -> "TtlBlock":
-        return TtlBlock(
-            dists=self.dists[rows],
-            embs=self.embs[rows],
-            eadrs=self.eadrs[rows],
-            tags=self.tags[rows],
-            radrs=self.radrs[rows],
-            dadrs=self.dadrs[rows],
-            metas=self.metas[rows],
-        )
+    def take(self, rows) -> "TtlBlock":
+        """The rows ``rows`` (an index array or a slice) as a new block."""
+        block = TtlBlock.__new__(TtlBlock)  # columns are typed already
+        for name in self.__slots__:
+            setattr(block, name, getattr(self, name)[rows])
+        return block
 
     @classmethod
     def empty(cls, code_bytes: int = 0) -> "TtlBlock":
