@@ -460,7 +460,7 @@ class BatchExecutor:
                 return words, words[:, 2].astype(np.int64)
             return words, np.full(codes.size, -1, dtype=np.int64)
 
-        has_filter = np.array([f is not None for f in tasks.filters]) & (not coarse)
+        has_filter = np.array([f is not None for f in tasks.filters])
         if has_filter.any():
             # The in-die tag sweep drops mismatches before RD_TTL.
             wanted = np.array([-1 if f is None else f for f in tasks.filters])

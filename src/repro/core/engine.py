@@ -92,9 +92,6 @@ class InStorageAnnsEngine:
 
     # ------------------------------------------------------------ utilities
 
-    def die_interface_of_plane(self, plane_index: int) -> DieCommandInterface:
-        return self._die_interfaces[plane_index // self.geometry.planes_per_die]
-
     def _locate(
         self, region: RegionInfo, page_offset: int
     ) -> Tuple[PhysicalPageAddress, int, int, int]:

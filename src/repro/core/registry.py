@@ -436,13 +436,11 @@ class TemporalTopList:
         order.
         """
         processed = self._n
-        if processed > k:
-            block = self._consolidate()
-            assert block is not None
+        block = self._consolidate()
+        if block is not None and processed > k:
             nearest = np.argsort(block.dists, kind="stable")[: max(k, 0)]
-            kept = block.take(np.sort(nearest))
-            self._blocks = [kept] if len(kept) else []
-            self._n = len(kept)
+            self._blocks = [block.take(np.sort(nearest))] if nearest.size else []
+            self._n = nearest.size
         return processed
 
     def replay(self, sizes: Sequence[int], k: int) -> Tuple[List[int], int]:

@@ -79,6 +79,33 @@ class TestPlane:
         assert distances[1] == 64
         assert distances[2] == 0
 
+    def test_sense_pages_matches_reading_page_by_page(self):
+        """Batched senses: same error draws, latch, flips and counters."""
+        batched, single = make_plane(), make_plane()
+        rng = np.random.default_rng(7)
+        for plane in (batched, single):
+            plane.blocks[1].set_mode(CellMode.SLC_ESP)
+        for block, page in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            data = rng.integers(0, 256, 2048, dtype=np.uint8)
+            oob = rng.integers(0, 256, 128, dtype=np.uint8)
+            for plane in (batched, single):
+                plane.program_page(block, page, data, oob)
+        order = [(0, 0), (1, 0), (0, 1), (0, 0), (1, 1), (0, 1)]  # TLC, ESP
+        sensed = batched.sense_pages([b for b, _ in order], [p for _, p in order])
+        noisy = 0
+        for (block, page), (data, oob) in zip(order, sensed):
+            read, read_oob = single.read_page(block, page)
+            assert np.array_equal(data, read)
+            assert np.array_equal(oob, read_oob)
+            noisy += not np.array_equal(read, single.golden_page(block, page)[0])
+        assert noisy  # the TLC reads drew bit errors
+        for latch in ("sensing", "oob"):
+            assert np.array_equal(
+                getattr(batched.buffer, latch), getattr(single.buffer, latch)
+            )
+        assert np.array_equal(batched.last_flipped_bytes, single.last_flipped_bytes)
+        assert batched.counters.as_dict() == single.counters.as_dict()
+
     def test_counters_track_operations(self):
         plane = make_plane()
         plane.program_page(0, 0, np.zeros(8, dtype=np.uint8))
