@@ -81,6 +81,8 @@ class InStorageAnnsEngine:
                 self._die_interfaces[die_index] = DieCommandInterface(
                     ssd.array.die_of_plane(plane_index)
                 )
+        # Planes by global index: the scan kernel senses through them and
+        # reports the commands per die (DieCommandInterface.scan_commands).
         self._planes = [
             ssd.array.plane_by_index(i) for i in range(self.geometry.total_planes)
         ]
